@@ -107,6 +107,58 @@ func TestCheckpointResumeMidMerge(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeAfterFirstMerge crashes a checkpointed sort right
+// after its first intermediate merge became durable. The resume re-plans
+// from the durable run set (three formation runs plus the merged output)
+// and must produce byte-identical output with zero records re-sorted.
+func TestCheckpointResumeAfterFirstMerge(t *testing.T) {
+	dir := t.TempDir()
+	s := ckptConfig(t, dir)
+	runN := int(s.MaxRecords(Threaded))
+	n := 4*runN + runN/2
+	raw := genRaw(n, 32, record.Uniform{Seed: 35})
+	ckptDir := filepath.Join(dir, "ckpt")
+
+	// At fan-in 4 the five runs plan as one 2-way merge of 1.5 runs'
+	// records, then the final merge: cancel once the first has emitted all
+	// of its records, so the crash lands after its WAL entry.
+	first := int64(runN + runN/2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
+		WithRunFormation(FixedBatch), WithMergeFanIn(4), WithCheckpoint(ckptDir),
+		WithProgress(func(ev Progress) {
+			if ev.MergedRecords >= first {
+				cancel()
+			}
+		}))
+	if err == nil {
+		res.Close()
+		t.Fatal("cancelled checkpointed sort returned no error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+
+	var out bytes.Buffer
+	rres, err := s.Resume(context.Background(), ckptDir, nil, ToWriter(&out))
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	defer rres.Close()
+	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
+		t.Error("resumed output is not byte-identical to the reference sort")
+	}
+	m := rres.Merge
+	if m.Runs != 4 || m.ResumedRuns != 4 || m.Levels != 1 {
+		t.Errorf("resume merged %d runs (%d resumed) in %d levels, want the 4 durable runs in one final merge",
+			m.Runs, m.ResumedRuns, m.Levels)
+	}
+	if rres.Faults.BatchRedos != 0 {
+		t.Errorf("BatchRedos = %d after a merge-phase resume, want 0", rres.Faults.BatchRedos)
+	}
+}
+
 // TestCheckpointResumeMidMergeNilSource is the merge-phase resume with no
 // Source at all: once the manifest records ingest_done, the input is never
 // read again.

@@ -91,7 +91,7 @@ func main() {
 	outPath := flag.String("out", "", "write the sorted records to this file (requires -in)")
 	maxMemMiB := flag.Int64("max-memory-mib", 0, "cap one columnsort run at this many MiB of records; inputs above the cap (or the algorithm's bound) sort as runs + k-way merge (0: bound only)")
 	mergeFanIn := flag.Int("merge-fanin", 0, "maximum runs merged at once on the hierarchical path (0: default 16)")
-	runFormation := flag.String("run-formation", "replacement-select", "hierarchical run formation: replacement-select (heap-formed maximal up/down runs) or fixed-batch (engine-sorted batches of exactly the run-plan size)")
+	runFormation := flag.String("run-formation", "replacement-select", "hierarchical run formation: replacement-select (maximal up/down runs formed on a loser tree) or fixed-batch (engine-sorted batches of exactly the run-plan size)")
 	retries := flag.Int("retries", 0, "fault tolerance: attempts per disk operation before a transient fault escapes (0: default 4; 1 disables retries)")
 	retryBaseUS := flag.Int("retry-base-us", 0, "fault tolerance: first backoff delay in microseconds, doubling per attempt (0: default 200)")
 	redoBudget := flag.Int("redo-budget", 0, "fault tolerance: hierarchical batches that may be re-sorted and re-spilled (0: default 2; negative disables)")

@@ -352,12 +352,12 @@ func (r *Result) TotalCounters() sim.Counters {
 // colsort-server's job summaries; TestWireEncodingGolden pins them.
 type MergeStats struct {
 	Runs       int   `json:"runs"`        // sorted runs formed
-	Levels     int   `json:"levels"`      // merge-tree levels, including the final merge into the Sink
+	Levels     int   `json:"levels"`      // depth of the merge tree: the most merges any record passes through, the final merge into the Sink included
 	FanIn      int   `json:"fan_in"`      // maximum runs merged at once
 	RunRecords int64 `json:"run_records"` // records one run's memory budget holds (the single-run plan's N); fixed-batch runs are exactly this long, replacement selection averages ~2× it
 
 	BytesRead    int64 `json:"bytes_read"`    // bytes read back from spilled runs by the merges
-	BytesWritten int64 `json:"bytes_written"` // bytes written to run spills (formation and intermediate levels) plus streamed to the Sink
+	BytesWritten int64 `json:"bytes_written"` // bytes written to run spills (formation and intermediate merges) plus streamed to the Sink
 
 	// Formation names the run-formation mode that produced the runs
 	// ("replacement-select" or "fixed-batch").

@@ -433,7 +433,7 @@ type EngineStats struct {
 	Faults   FaultStats   `json:"faults"`
 	// Hierarchical run-formation accounting of every completed job that
 	// took the runs-plus-merge path: runs spilled (descending runs
-	// separately), records they held, and merge levels executed. The
+	// separately), records they held, and merge-tree depths summed. The
 	// run/record split exposes the average run length — the number that
 	// shows replacement selection earning its ~2× over fixed batches.
 	RunsFormed       int64 `json:"runs_formed,omitempty"`

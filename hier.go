@@ -11,10 +11,12 @@ package colsort
 // Sink — no extra materialization pass. See DESIGN.md §7 for the contracts.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
 	"os"
+	"slices"
 
 	"context"
 
@@ -306,13 +308,13 @@ func (j *job) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, o
 		}
 		br.Close() // run formation done: release the fabric before merging
 	default:
-		// Replacement selection: the heap owns the run boundaries and the
-		// engine's fabric never runs — order comes from the heap, and
+		// Replacement selection: the former owns the run boundaries and the
+		// engine's fabric never runs — order comes from the former, and
 		// verification from the merge's in-stream order check plus the
 		// final multiset comparison against the ingest checksum.
 		//
 		// A formation-phase resume cannot reach here: replacement-selection
-		// runs do not cover a contiguous source prefix (the heap's contents
+		// runs do not cover a contiguous source prefix (the former's contents
 		// at the crash are unrecoverable), so Resume restarts RS formation
 		// from scratch and arrives with rs == nil.
 		if rs != nil {
@@ -337,15 +339,67 @@ func (j *job) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, o
 	return j.mergePhase(ctx, runs, ids, dst, o, codec, n, runPl, stats, want, passCnts, formSpill, nBatches, chunk, fanIn, resumed)
 }
 
-// mergePhase reduces the run set level by level and streams the final merge
-// into the sink, verifying order in-stream and the multiset at end of
-// stream. Under checkpointing each intermediate merge output becomes
-// durable (fsync + "merged" WAL entry) before its consumed inputs are
-// removed, so a crash at any point leaves a run set that re-merges to
-// byte-identical output; on success the checkpoint state is retired.
-// ids maps live runs to their manifest ids (parallel slice; nil when not
-// checkpointing). resumed marks a merge-phase resume, whose formation work
-// happened in a previous process.
+// mergePlan is the merge schedule of a run set under a fan-in bound.
+type mergePlan struct {
+	// steps lists each intermediate merge's inputs as positions in the run
+	// list, which grows by one output per step (step i's output is position
+	// len(sizes)+i); the runs no step consumes feed the final merge.
+	steps [][]int
+	total int64 // records all merges together emit: the progress total
+	depth int   // merge-tree levels, including the final merge
+}
+
+// mergeSchedule plans the merges of runs with the given record counts by
+// Knuth's optimum merge pattern (TAOCP vol. 3 §5.4.9, the k-ary Huffman
+// tree), which minimises the records intermediate merges rewrite: the first
+// merge takes the ((B−2) mod (k−1))+2 smallest of the B runs, every later
+// one the k smallest, until at most k runs remain for the final merge. Ties
+// go to the earlier position, so the plan is deterministic.
+func mergeSchedule(sizes []int64, fanIn int) mergePlan {
+	type entry struct {
+		pos   int
+		size  int64
+		depth int
+	}
+	live := make([]entry, len(sizes))
+	for i, sz := range sizes {
+		live[i] = entry{pos: i, size: sz}
+	}
+	var p mergePlan
+	take := (len(live)-2)%(fanIn-1) + 2
+	for len(live) > fanIn {
+		slices.SortFunc(live, func(a, b entry) int {
+			return cmp.Or(cmp.Compare(a.size, b.size), cmp.Compare(a.pos, b.pos))
+		})
+		out := entry{pos: len(sizes) + len(p.steps)}
+		step := make([]int, take)
+		for i, in := range live[:take] {
+			step[i] = in.pos
+			out.size += in.size
+			out.depth = max(out.depth, in.depth)
+		}
+		out.depth++
+		p.steps = append(p.steps, step)
+		p.total += out.size
+		live = append(live[take:], out)
+		take = fanIn
+	}
+	for _, in := range live {
+		p.total += in.size
+		p.depth = max(p.depth, in.depth+1)
+	}
+	return p
+}
+
+// mergePhase executes the run set's merge schedule (mergeSchedule) and
+// streams the final merge into the sink, verifying order in-stream and the
+// multiset at end of stream. Under checkpointing each intermediate merge
+// output becomes durable (fsync + "merged" WAL entry) before its consumed
+// inputs are removed, so a crash at any point leaves a run set that
+// re-plans and re-merges to byte-identical output; on success the
+// checkpoint state is retired. ids maps live runs to their manifest ids
+// (parallel slice; nil when not checkpointing). resumed marks a merge-phase
+// resume, whose formation work happened in a previous process.
 func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst Sink, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, stats *MergeStats, want record.Checksum, passCnts [][]sim.Counters, formSpill int64, nBatches, chunk, fanIn int, resumed bool) (*Result, error) {
 	defer func() {
 		for _, r := range live {
@@ -354,129 +408,81 @@ func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst 
 			}
 		}
 	}()
-	spillSeq := len(live)
-	newSpill := func() (pdm.Disk, error) {
-		d, err := j.m.NewSpillDisk(spillSeq)
-		spillSeq++
-		return d, err
-	}
 
-	// Merge progress is cumulative across EVERY level, against the total
-	// record count all merges together will emit — and clamped monotonic in
-	// the emitter: with variable-length runs (and pass-through leftovers)
-	// a per-level percent could otherwise regress between levels.
+	sizes := make([]int64, len(live))
+	for i, r := range live {
+		sizes[i] = r.Records
+	}
+	plan := mergeSchedule(sizes, fanIn)
+	stats.Levels = plan.depth
+
+	// Merge progress is cumulative across EVERY merge, against the record
+	// count the plan says all merges together emit: one nondecreasing
+	// sequence that ends exactly at its total.
 	opt := merge.Options{ChunkRecs: chunk, Faults: &j.faults}
 	var mergedBase int64
 	if o.progress != nil {
-		var mergeTotal int64
-		sizes := make([]int64, len(live))
-		for i, r := range live {
-			sizes[i] = r.Records
-		}
-		for len(sizes) > fanIn {
-			var next []int64
-			for lo := 0; lo < len(sizes); lo += fanIn {
-				hi := lo + fanIn
-				if hi > len(sizes) {
-					hi = len(sizes)
-				}
-				if hi == lo+1 {
-					next = append(next, sizes[lo])
-					continue
-				}
-				var sum int64
-				for _, v := range sizes[lo:hi] {
-					sum += v
-				}
-				mergeTotal += sum
-				next = append(next, sum)
-			}
-			sizes = next
-		}
-		mergeTotal += n // the final merge emits every record
 		batches, fn := nBatches, o.progress
 		if o.formation != FixedBatch {
 			batches = len(live)
 		}
-		var lastEmitted int64
 		opt.Progress = func(merged int64) {
-			cum := mergedBase + merged
-			if cum < lastEmitted {
-				cum = lastEmitted
-			}
-			if cum > mergeTotal {
-				cum = mergeTotal
-			}
-			lastEmitted = cum
-			fn(Progress{Batches: batches, MergedRecords: cum, TotalRecords: mergeTotal})
+			fn(Progress{Batches: batches, MergedRecords: mergedBase + merged, TotalRecords: plan.total})
 		}
 	}
 
-	// Merge tree: reduce the run set level by level until one merge fans
-	// into the sink. The merges verify every CRC frame they load, healing
-	// transient read corruption with a reread and counting both into the
-	// job's fault stats.
-	for len(live) > fanIn {
-		stats.Levels++
-		next := make([]*merge.Run, 0, (len(live)+fanIn-1)/fanIn)
-		var nextIDs []int
-		for lo := 0; lo < len(live); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(live) {
-				hi = len(live)
-			}
-			if hi == lo+1 { // a lone leftover run passes through unrewritten
-				next = append(next, live[lo])
-				live[lo] = nil
-				if j.ckpt != nil {
-					nextIDs = append(nextIDs, ids[lo])
-				}
-				continue
-			}
-			d, err := newSpill()
-			if err != nil {
-				live = append(next, live[lo:]...)
-				return nil, err
-			}
-			out, st, err := merge.MergeToRun(ctx, live[lo:hi], d, opt)
-			if err != nil {
-				d.Close()
-				live = append(next, live[lo:]...)
-				return nil, err
-			}
-			stats.BytesRead += st.BytesRead
-			stats.BytesWritten += st.BytesWritten
-			mergedBase += out.Records
-			var outID int
+	// Intermediate merges: each step's output joins the run list at the
+	// position the plan gave it. The merges verify every CRC frame they
+	// load, healing transient read corruption with a reread and counting
+	// both into the job's fault stats.
+	for _, step := range plan.steps {
+		in := make([]*merge.Run, len(step))
+		var inIDs []int
+		for i, pos := range step {
+			in[i] = live[pos]
 			if j.ckpt != nil {
-				// Durability points, in order: the merged output reaches
-				// stable storage; the WAL records it (with the input ids it
-				// consumed); only then are the consumed input files removed.
-				// A crash between any two steps leaves either the inputs
-				// live (the merge is redone) or the output live with orphan
-				// inputs (swept at resume) — never a gap in the data.
-				if err := pdm.SyncDisk(out.Disk); err != nil {
-					out.Close()
-					live = append(next, live[lo:]...)
-					return nil, err
-				}
-				if outID, err = j.ckpt.logMerged(out, ids[lo:hi]); err != nil {
-					out.Close()
-					live = append(next, live[lo:]...)
-					return nil, err
-				}
-			}
-			for i := lo; i < hi; i++ {
-				j.closeConsumedRun(live[i])
-				live[i] = nil
-			}
-			next = append(next, out)
-			if j.ckpt != nil {
-				nextIDs = append(nextIDs, outID)
+				inIDs = append(inIDs, ids[pos])
 			}
 		}
-		live = next
-		ids = nextIDs
+		d, err := j.m.NewSpillDisk(len(live)) // the step's position in the run list
+		if err != nil {
+			return nil, err
+		}
+		out, st, err := merge.MergeToRun(ctx, in, d, opt)
+		if err != nil {
+			d.Close()
+			return nil, err
+		}
+		live = append(live, out)
+		stats.BytesRead += st.BytesRead
+		stats.BytesWritten += st.BytesWritten
+		mergedBase += out.Records
+		if j.ckpt != nil {
+			// Durability points, in order: the merged output reaches
+			// stable storage; the WAL records it (with the input ids it
+			// consumed); only then are the consumed input files removed.
+			// A crash between any two steps leaves either the inputs live
+			// (the merge is redone) or the output live with orphan inputs
+			// (swept at resume) — never a gap in the data.
+			if err := pdm.SyncDisk(out.Disk); err != nil {
+				return nil, err
+			}
+			outID, err := j.ckpt.logMerged(out, inIDs)
+			if err != nil {
+				return nil, err
+			}
+			ids = append(ids, outID)
+		}
+		for _, pos := range step {
+			j.closeConsumedRun(live[pos])
+			live[pos] = nil
+		}
+	}
+	var final []*merge.Run
+	for _, r := range live {
+		if r != nil {
+			final = append(final, r)
+		}
 	}
 
 	// Final merge: stream straight into the sink, decoding each chunk on
@@ -486,12 +492,11 @@ func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst 
 	// to the ingest checksum at end of stream — streaming verification, at
 	// the cost that a late failure means the sink has already received
 	// bytes that must be discarded (Sort reports the error either way).
-	stats.Levels++
 	w, err := dst.Open(j.e.cfg.RecordSize)
 	if err != nil {
 		return nil, err
 	}
-	got, st, err := merge.Merge(ctx, live, func(c record.Slice) error {
+	got, st, err := merge.Merge(ctx, final, func(c record.Slice) error {
 		codec.Decode(c)
 		return w.Write(c)
 	}, opt)
@@ -534,12 +539,12 @@ func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst 
 		}
 	} else if o.formation != FixedBatch {
 		// The engine fabric never ran under replacement selection, so its
-		// real work — the selection heap and the merge tree — is accounted
+		// real work — the selection tree and the merge trees — is accounted
 		// as two synthetic passes. Engine.Stats' cumulative counters (and
 		// the server's /metrics derived from them) stay meaningful under
 		// the default formation mode.
 		z := int64(runPl.Z)
-		mergeRecs := mergedBase + n // every record each merge level emitted
+		mergeRecs := mergedBase + n // every record each merge emitted
 		passCnts = [][]sim.Counters{
 			{{
 				CompareUnits:   n * int64(bits.Len64(uint64(runPl.N))),
@@ -641,14 +646,14 @@ func (j *job) formRun(ctx context.Context, br *core.BatchRunner, input *pdm.Stor
 }
 
 // formRunsReplacement forms and spills maximal variable-length runs by
-// heap-based replacement selection, consuming the source stream directly:
+// tree-based replacement selection, consuming the source stream directly:
 // records are encoded into normalized key space as they arrive, the
-// former's heap (runPl.N records — the same budget one fixed batch would
+// former's arena (runPl.N records — the same budget one fixed batch would
 // hold, honest against the job's admission lease) emits each run in its
 // chosen direction, and each run streams through the CRC-framing writer
 // onto a fresh spill disk, descending runs marked for the reversed merge
 // reader. The engine's batch fabric is never involved: order comes from
-// the heap, and end-to-end verification from the merge's in-stream order
+// the former, and end-to-end verification from the merge's in-stream order
 // check plus the final multiset comparison against the ingest checksum.
 //
 // Recovery differs from fixed batches by necessity. A fixed batch redoes
@@ -658,7 +663,7 @@ func (j *job) formRun(ctx context.Context, br *core.BatchRunner, input *pdm.Stor
 // pooled memory until its spill has been verified — a permanent spill
 // failure or a scrub-detected corruption re-spills the retained copy onto
 // a fresh disk (counted in BatchRedos, like a batch redo). Retention is
-// bounded at 2× the heap (the expected run length on random input): a run
+// bounded at 2× the arena (the expected run length on random input): a run
 // reaching the bound is cut there, so redo memory stays within one extra
 // run-store's worth — the same peak the fixed-batch path reaches with its
 // input and output stores — at the cost of splitting longer-than-expected

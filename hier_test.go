@@ -202,6 +202,106 @@ func TestHierarchicalFanInLevels(t *testing.T) {
 	}
 }
 
+// TestMergeSchedule pins the optimum merge pattern: the first merge takes
+// the ((B−2) mod (k−1))+2 smallest runs, every later one the k smallest,
+// ties to the earlier position, until at most k runs remain.
+func TestMergeSchedule(t *testing.T) {
+	equal := func(b int) []int64 {
+		s := make([]int64, b)
+		for i := range s {
+			s[i] = 1
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name  string
+		sizes []int64
+		fanIn int
+		steps [][]int
+		total int64
+		depth int
+	}{
+		{"one run", []int64{10}, 4, nil, 10, 1},
+		{"fits the fan-in", []int64{4, 4, 4, 4}, 4, nil, 16, 1},
+		// Level by level would merge runs 0..3 (32 records) and pass run 4
+		// through; the optimum merges only the two smallest (12).
+		{"5 runs at fan-in 4", []int64{8, 8, 8, 8, 4}, 4, [][]int{{4, 0}}, 12 + 36, 2},
+		{"fan-in 2", equal(6), 2, [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}, 2 + 2 + 2 + 4 + 6, 3},
+	} {
+		p := mergeSchedule(c.sizes, c.fanIn)
+		if fmt.Sprint(p.steps) != fmt.Sprint(c.steps) || p.total != c.total || p.depth != c.depth {
+			t.Errorf("%s: plan steps=%v total=%d depth=%d, want steps=%v total=%d depth=%d",
+				c.name, p.steps, p.total, p.depth, c.steps, c.total, c.depth)
+		}
+	}
+	// The merge-64m shape: 33 runs at fan-in 16 rewrite 3+16 runs in two
+	// merges, where level by level rewrites 32.
+	p := mergeSchedule(equal(33), 16)
+	if len(p.steps) != 2 || len(p.steps[0]) != 3 || len(p.steps[1]) != 16 || p.total != 3+16+33 || p.depth != 2 {
+		t.Errorf("33 runs at fan-in 16: %d steps %v, total %d, depth %d; want merges of 3 and 16, total 52, depth 2",
+			len(p.steps), p.steps, p.total, p.depth)
+	}
+}
+
+// TestMinimumVolumeMerge sorts 4.5 runs' worth of records at fan-in 4, where
+// the optimum schedule (merge the half run with one full run first) differs
+// from level by level (merge four full runs first): the bytes written must
+// be the optimum's, merge progress must end exactly at the advertised
+// total, and the output must be byte-identical to a one-level merge.
+func TestMinimumVolumeMerge(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const z = 16
+	s, err := New(Config{Procs: 4, MemPerProc: 256, RecordSize: z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runN := int(s.MaxRecords(Threaded))
+	n := 4*runN + runN/2
+	raw := genRaw(n, z, record.Uniform{Seed: 21})
+
+	var out bytes.Buffer
+	var last Progress
+	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
+		WithMergeFanIn(4), WithRunFormation(FixedBatch),
+		WithProgress(func(ev Progress) {
+			if ev.MergedRecords > 0 {
+				last = ev
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if res.Merge.Runs != 5 || res.Merge.RunRecords != int64(runN) || res.Merge.Levels != 2 {
+		t.Fatalf("%d runs of %d records, %d levels; want 5 runs of %d records, 2 levels",
+			res.Merge.Runs, res.Merge.RunRecords, res.Merge.Levels, runN)
+	}
+	// Formation spills n records, the one intermediate merge rewrites the
+	// half run and one full run, the final merge emits n.
+	if want := int64(n+runN+runN/2+n) * z; res.Merge.BytesWritten != want {
+		t.Errorf("BytesWritten = %d, want the optimum schedule's %d", res.Merge.BytesWritten, want)
+	}
+	if want := int64(n + runN + runN/2); last.TotalRecords != want || last.MergedRecords != want {
+		t.Errorf("merge progress ends at %d of %d, want %d of %d", last.MergedRecords, last.TotalRecords, want, want)
+	}
+
+	var one bytes.Buffer
+	res1, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&one), WithRunFormation(FixedBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res1.Close()
+	if res1.Merge.Levels != 1 {
+		t.Fatalf("default fan-in merged 5 runs in %d levels, want 1", res1.Merge.Levels)
+	}
+	if !bytes.Equal(out.Bytes(), one.Bytes()) {
+		t.Error("scheduled merge output differs from the one-level merge's")
+	}
+	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
+		t.Error("scheduled merge output differs from the reference sort")
+	}
+}
+
 // TestWithMaxMemoryForcesRuns caps the run size below an otherwise
 // plannable n: the sort must take the hierarchical path and still produce
 // the reference output.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 
+	"colsort/internal/ltree"
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 )
@@ -66,6 +67,12 @@ type Stats struct {
 // call. Chunk buffers are recycled internally; emit must not retain its
 // argument past return.
 func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt Options) (record.Checksum, Stats, error) {
+	return merge(ctx, runs, emit, opt, true)
+}
+
+// merge is Merge with the multiset checksum optional: MergeToRun has no
+// ingest checksum to compare against. The order check runs either way.
+func merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt Options, sum bool) (record.Checksum, Stats, error) {
 	var cs record.Checksum
 	var st Stats
 	if len(runs) == 0 {
@@ -91,8 +98,17 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 			return cs, st, err
 		}
 	}
-	var t tree
-	t.init(readers)
+	t := ltree.New(len(readers), func(a, b int32) bool {
+		ca, cb := readers[a].Cur(), readers[b].Cur()
+		if ca == nil || cb == nil {
+			return ca != nil // an exhausted run's MaxKey can tie a live maximal record
+		}
+		if c := bytes.Compare(ca, cb); c != 0 {
+			return c < 0
+		}
+		return a < b
+	})
+	t.Build(func(r int32) uint64 { return readers[r].Key() })
 
 	// Emit write-behind: the worker drains full chunks and recycles the
 	// buffers; after its first error it stops calling emit but keeps
@@ -136,8 +152,12 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 		return cs, st, err
 	}
 
-	prev := make([]byte, z) // last emitted record, for the order check
-	havePrev := false
+	// The order check compares cached prefixes first, full bytes only on
+	// equal prefixes. A record's predecessor is the one copied out just
+	// before it; prev carries a chunk's last record into the next chunk and
+	// starts as the all-zero record, which nothing sorts below.
+	prev := make([]byte, z)
+	var prevKey uint64
 	var total int64
 	for _, r := range runs {
 		total += r.Records
@@ -158,22 +178,29 @@ func Merge(ctx context.Context, runs []*Run, emit func(record.Slice) error, opt 
 			want = int(left)
 		}
 		out := buf.Sub(0, want)
+		last := prev
 		for i := 0; i < want; i++ {
-			rec := t.winner()
+			w, key := t.Winner()
+			rd := readers[w]
+			rec := rd.Cur()
 			if rec == nil {
 				return finish(fmt.Errorf("merge: runs exhausted after %d of %d records (inconsistent run lengths)", st.Records+int64(i), total))
 			}
-			if havePrev && bytes.Compare(rec, prev) < 0 {
+			if key < prevKey || key == prevKey && bytes.Compare(rec, last) < 0 {
 				return finish(fmt.Errorf("%w at record %d", ErrOrder, st.Records+int64(i)))
 			}
-			copy(prev, rec)
-			havePrev = true
-			cs.Add(rec)
-			copy(out.Record(i), rec)
-			if err := t.pop(); err != nil {
-				return finish(err)
+			last = out.Record(i)
+			copy(last, rec)
+			prevKey = key
+			if sum {
+				cs.Add(rec)
 			}
+			if err := rd.Advance(); err != nil {
+				return finish(fmt.Errorf("merge: run %d: %w", w, err))
+			}
+			t.Replay(w, rd.Key())
 		}
+		copy(prev, last)
 		st.Records += int64(want)
 		st.BytesWritten += int64(want * z)
 		full <- out
@@ -196,100 +223,10 @@ func MergeToRun(ctx context.Context, runs []*Run, d pdm.Disk, opt Options) (*Run
 		chunkRecs = DefaultChunkRecs
 	}
 	w := NewWriter(d, runs[0].RecSize, chunkRecs)
-	_, st, err := Merge(ctx, runs, w.Append, opt)
+	_, st, err := merge(ctx, runs, w.Append, opt, false)
 	if err != nil {
 		return nil, st, err
 	}
 	out, err := w.Finish()
 	return out, st, err
-}
-
-// tree is a tournament (loser) tree over the runs' readers: node[0] holds
-// the current overall winner and every internal node the loser of its
-// match, so replacing the winner costs ⌈log₂ k⌉ comparisons — the same
-// structure sortalg uses in-memory, re-derived here over streaming readers.
-// The leaf count is padded to a power of two with permanently exhausted
-// dummies. Ties break on run index for determinism.
-type tree struct {
-	readers []runReader
-	node    []int
-	k       int
-}
-
-func (t *tree) init(readers []runReader) {
-	t.readers = readers
-	t.k = 1
-	for t.k < len(readers) {
-		t.k *= 2
-	}
-	t.node = make([]int, t.k)
-	t.node[0] = t.play(1)
-}
-
-func (t *tree) play(i int) int {
-	if i >= t.k {
-		r := i - t.k
-		if r >= len(t.readers) {
-			return -1
-		}
-		return r
-	}
-	wl, wr := t.play(2*i), t.play(2*i+1)
-	if t.beats(wl, wr) {
-		t.node[i] = wr
-		return wl
-	}
-	t.node[i] = wl
-	return wr
-}
-
-func (t *tree) cur(r int) []byte {
-	if r < 0 {
-		return nil
-	}
-	return t.readers[r].Cur()
-}
-
-func (t *tree) beats(a, b int) bool {
-	if a < 0 || t.readers[a].done() {
-		return false
-	}
-	if b < 0 || t.readers[b].done() {
-		return true
-	}
-	// Record order is plain lexicographic byte order: the engine's key is
-	// the first 8 bytes big-endian with payload tie-break, which coincides
-	// with bytes.Compare over the whole record. The readers cache that
-	// 8-byte prefix at each advance, so the common case is one uint64
-	// compare without touching the chunk bytes; ties fall back to the full
-	// record.
-	ra, rb := t.readers[a], t.readers[b]
-	if ra.Key() != rb.Key() {
-		return ra.Key() < rb.Key()
-	}
-	c := bytes.Compare(ra.Cur(), rb.Cur())
-	if c != 0 {
-		return c < 0
-	}
-	return a < b
-}
-
-// winner returns the current smallest record, or nil when all runs are
-// exhausted.
-func (t *tree) winner() []byte { return t.cur(t.node[0]) }
-
-// pop advances the winning run and replays its path to the root.
-func (t *tree) pop() error {
-	w := t.node[0]
-	if err := t.readers[w].Advance(); err != nil {
-		return fmt.Errorf("merge: run %d: %w", w, err)
-	}
-	winner := w
-	for i := (w + t.k) / 2; i > 0; i /= 2 {
-		if t.beats(t.node[i], winner) {
-			t.node[i], winner = winner, t.node[i]
-		}
-	}
-	t.node[0] = winner
-	return nil
 }

@@ -14,7 +14,7 @@ import (
 
 // buildRun spills the records of recs (sorted here for convenience) onto a
 // fresh disk of the given machine and returns the run.
-func buildRun(t *testing.T, m pdm.Machine, recs record.Slice, chunkRecs int) *Run {
+func buildRun(t testing.TB, m pdm.Machine, recs record.Slice, chunkRecs int) *Run {
 	t.Helper()
 	sortSlice(recs)
 	d, err := m.NewSpillDisk(0)
@@ -49,7 +49,7 @@ func sortSlice(s record.Slice) {
 }
 
 // genRuns cuts n generated records into k runs of uneven sizes.
-func genRuns(t *testing.T, m pdm.Machine, n, k, z, chunkRecs int, seed uint64) ([]*Run, record.Slice) {
+func genRuns(t testing.TB, m pdm.Machine, n, k, z, chunkRecs int, seed uint64) ([]*Run, record.Slice) {
 	t.Helper()
 	all := record.Make(n, z)
 	record.Fill(all, record.Uniform{Seed: seed}, 0)
@@ -312,5 +312,62 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: round trip corrupted records", n)
 		}
 		run.Close()
+	}
+}
+
+// BenchmarkMerge streams a 16-way merge of 256 Ki uniform 64-byte records
+// (16 MiB, in-memory run disks) into a discarding emit: the loser tree, the
+// order check and the multiset checksum, without disk service time.
+func BenchmarkMerge(b *testing.B) {
+	const n, k, z, chunk = 1 << 18, 16, 64, 4096
+	runs, _ := genRuns(b, pdm.Machine{P: 1, D: 1}, n, k, z, chunk, 1)
+	defer func() {
+		for _, r := range runs {
+			r.Close()
+		}
+	}()
+	discard := func(record.Slice) error { return nil }
+	b.SetBytes(n * z)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Merge(context.Background(), runs, discard, Options{ChunkRecs: chunk}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestMergeMaxKeyRecords merges runs whose records mostly carry the
+// all-ones key prefix — the key an exhausted run holds in the loser tree —
+// with runs of very different lengths, so live maximal records tie
+// exhausted runs throughout: the tie must go to the live record.
+func TestMergeMaxKeyRecords(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const z = 16
+	m := pdm.Machine{P: 1, D: 1}
+	var runs []*Run
+	var all []byte
+	for i, n := range []int{1, 300, 7, 120, 2} {
+		recs := record.Make(n, z)
+		record.Fill(recs, record.Uniform{Seed: uint64(i)}, 0)
+		for j := 0; j < n; j++ {
+			if j%5 != 0 {
+				recs.SetKey(j, record.MaxKey)
+			}
+		}
+		all = append(all, recs.Data...)
+		runs = append(runs, buildRun(t, m, recs, 32))
+	}
+	ref := record.NewSlice(all, z)
+	sortSlice(ref)
+	got, _, _, err := collect(t, context.Background(), runs, z, Options{ChunkRecs: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, ref.Data) {
+		t.Fatal("merge of maximal-key runs differs from the reference sort")
+	}
+	for _, r := range runs {
+		r.Close()
 	}
 }

@@ -283,7 +283,7 @@ func (r *Reader) nextExtent() (int64, int) {
 func (r *Reader) load() error {
 	off, n := r.nextExtent()
 	if n == 0 {
-		r.cur = nil
+		r.cur, r.key = nil, record.MaxKey
 		return nil
 	}
 	buf := r.chunk[:n]
@@ -312,12 +312,9 @@ func (r *Reader) Cur() []byte {
 	return r.cur[r.pos : r.pos+r.run.RecSize]
 }
 
-// done reports run exhaustion without materializing the record slice.
-func (r *Reader) done() bool { return r.pos >= len(r.cur) }
-
 // Key returns the current record's 8-byte big-endian key prefix, cached at
-// each advance so merge comparisons need not touch the chunk bytes. Valid
-// only while done() is false.
+// each advance so merge comparisons need not touch the chunk bytes, or
+// record.MaxKey once the run is exhausted.
 func (r *Reader) Key() uint64 { return r.key }
 
 // Prime loads the first chunk and hints the second; it must be called once
@@ -343,6 +340,7 @@ func (r *Reader) Advance() error {
 		if r.bytesLeft > 0 {
 			return r.load()
 		}
+		r.key = record.MaxKey
 		return nil
 	}
 	r.key = binary.BigEndian.Uint64(r.cur[r.pos:])
@@ -354,12 +352,12 @@ func (r *Reader) BytesRead() int64 { return r.bytesRead }
 
 // runReader is the stream contract the loser tree merges over: Reader for
 // ascending runs, ReverseReader for descending ones. Both present records
-// in ASCENDING order with a cached 8-byte key prefix.
+// in ASCENDING order with a cached 8-byte key prefix (record.MaxKey once
+// exhausted).
 type runReader interface {
 	Prime() error
 	Cur() []byte
 	Key() uint64
-	done() bool
 	Advance() error
 	BytesRead() int64
 }
@@ -435,7 +433,7 @@ func (r *ReverseReader) extentOf(i int64) (int64, int) {
 // before it, positioning on the chunk's LAST record.
 func (r *ReverseReader) load() error {
 	if r.frame < 0 {
-		r.cur, r.pos = nil, -1
+		r.cur, r.pos, r.key = nil, -1, record.MaxKey
 		return nil
 	}
 	off, n := r.extentOf(r.frame)
@@ -477,11 +475,8 @@ func (r *ReverseReader) Cur() []byte {
 	return r.cur[r.pos : r.pos+r.run.RecSize]
 }
 
-// done reports run exhaustion without materializing the record slice.
-func (r *ReverseReader) done() bool { return r.pos < 0 }
-
-// Key returns the current record's cached 8-byte big-endian key prefix.
-// Valid only while done() is false.
+// Key returns the current record's cached 8-byte big-endian key prefix, or
+// record.MaxKey once the run is exhausted.
 func (r *ReverseReader) Key() uint64 { return r.key }
 
 // Advance moves to the previous on-disk record (the next in ascending

@@ -1,5 +1,5 @@
-// Package runform forms sorted runs from a record stream by heap-based
-// replacement selection (Knuth TAOCP vol. 3 §5.4.1; Bender, McCauley,
+// Package runform forms sorted runs from a record stream by replacement
+// selection on a loser tree (Knuth TAOCP vol. 3 §5.4.1; Bender, McCauley,
 // McGregor, Singh, Vu — "Run Generation Revisited").
 //
 // A Former holds a working set of `capacity` normalized records. It
@@ -22,36 +22,39 @@
 // monotone in its declared direction.
 //
 // All comparisons happen in normalized key space: records are memcmp-
-// ordered after KeySpec encoding, and the cached 8-byte big-endian key
-// prefix resolves almost every heap comparison without touching the
-// record bytes (the same prefix discipline as the merge loser tree).
+// ordered after KeySpec encoding, and the tree (internal/ltree) holds each
+// slot's 8-byte key prefix inline — complemented in a descending run — so
+// almost every match is one uint64 compare without touching the records.
 package runform
 
 import (
 	"bytes"
 	"encoding/binary"
 
+	"colsort/internal/ltree"
 	"colsort/internal/record"
+)
+
+// Slot states: every resident record belongs to the current run, waits for
+// the next one, or is gone (its slot could not be refilled at end of input).
+const (
+	dead uint8 = iota
+	inRun
+	deferred
 )
 
 // Former produces maximal sorted runs from a record stream via replacement
 // selection. It is single-goroutine; the caller drives it with NextRun /
 // Fill and must Close it to return the pooled arena.
 type Former struct {
-	z        int
-	capacity int
-	pool     *record.Pool
-	read     func(rec []byte) (bool, error)
+	pool *record.Pool
+	read func(rec []byte) (bool, error)
 
 	arena record.Slice // the capacity resident records, indexed by slot
-	keys  []uint64     // cached 8-byte big-endian prefix per slot
+	state []uint8      // per slot: dead, inRun or deferred
+	tree  *ltree.Tree  // leaves = slots: inRun slots at their run-order key, the rest at MaxKey (stale after BreakRun until NextRun)
 
-	heap    []int32 // slots of the current run, ordered by (prefix, full bytes)
-	pending []int32 // arrivals deferred to the next run (they would break this one)
-
-	desc     bool   // current run emits in descending order
-	last     []byte // copy of the record most recently emitted into the current run
-	haveLast bool
+	desc bool // current run emits in descending order
 
 	// Direction heuristic state: up/down key steps between consecutive
 	// arrivals since the previous run started (the initial fill, for run 1).
@@ -61,30 +64,25 @@ type Former struct {
 	prevKey    uint64
 	haveSeen   bool
 
-	eof      bool
-	started  bool
-	consumed int64
+	eof     bool
+	started bool
 }
 
 // New builds a Former over a record stream. capacity is the number of
-// resident records (the replacement-selection heap size), z the record size
-// in bytes. read fills rec with the next input record, returning false at
-// end of stream; records must already be in normalized (memcmp-ordered) key
-// space. The arena is taken from pool (which may be nil).
+// resident records (the replacement-selection working set), z the record
+// size in bytes. read fills rec with the next input record, returning false
+// at end of stream; records must already be in normalized (memcmp-ordered)
+// key space. The arena is taken from pool (which may be nil).
 func New(capacity, z int, pool *record.Pool, read func(rec []byte) (bool, error)) *Former {
 	if capacity < 1 {
 		capacity = 1
 	}
 	f := &Former{
-		z:        z,
-		capacity: capacity,
-		pool:     pool,
-		read:     read,
-		keys:     make([]uint64, capacity),
-		heap:     make([]int32, 0, capacity),
-		pending:  make([]int32, 0, capacity),
-		last:     make([]byte, z),
+		pool:  pool,
+		read:  read,
+		state: make([]uint8, capacity),
 	}
+	f.tree = ltree.New(capacity, f.tie)
 	f.arena = pool.Get(capacity, z)
 	return f
 }
@@ -97,11 +95,8 @@ func (f *Former) Close() {
 	}
 }
 
-// Consumed reports how many records have been read from the input so far.
-func (f *Former) Consumed() int64 { return f.consumed }
-
-// readInto refills slot from the input, caching its key prefix and feeding
-// the direction heuristic. Returns false (and latches eof) at end of stream.
+// readInto refills slot from the input, feeding the direction heuristic.
+// Returns false (and latches eof) at end of stream.
 func (f *Former) readInto(slot int32) (bool, error) {
 	rec := f.arena.Record(int(slot))
 	ok, err := f.read(rec)
@@ -113,7 +108,6 @@ func (f *Former) readInto(slot int32) (bool, error) {
 		return false, nil
 	}
 	k := binary.BigEndian.Uint64(rec)
-	f.keys[slot] = k
 	if f.haveSeen {
 		if k > f.prevKey {
 			f.ups++
@@ -123,8 +117,39 @@ func (f *Former) readInto(slot int32) (bool, error) {
 	}
 	f.prevKey = k
 	f.haveSeen = true
-	f.consumed++
 	return true, nil
+}
+
+// runKey is slot's key in the current run's order: the prefix itself for
+// an ascending run, its complement for a descending one.
+func (f *Former) runKey(slot int32) uint64 {
+	k := binary.BigEndian.Uint64(f.arena.Record(int(slot)))
+	if f.desc {
+		return ^k
+	}
+	return k
+}
+
+// tie orders two slots whose tree keys are equal: a slot of the current
+// run beats any other (a run record whose key is MaxKey ties every parked
+// slot), then full normalized bytes in the run's direction, then slot id.
+func (f *Former) tie(a, b int32) bool {
+	la, lb := f.state[a] == inRun, f.state[b] == inRun
+	if !la || !lb {
+		return la
+	}
+	if c := f.cmp(f.arena.Record(int(a)), f.arena.Record(int(b))); c != 0 {
+		return c < 0
+	}
+	return a < b
+}
+
+// cmp compares two records in the current run's order.
+func (f *Former) cmp(a, b []byte) int {
+	if f.desc {
+		a, b = b, a
+	}
+	return bytes.Compare(a, b)
 }
 
 // NextRun starts the next run, choosing its direction from the arrival
@@ -133,7 +158,7 @@ func (f *Former) readInto(slot int32) (bool, error) {
 func (f *Former) NextRun() (desc, ok bool, err error) {
 	if !f.started {
 		f.started = true
-		for i := 0; i < f.capacity && !f.eof; i++ {
+		for i := 0; i < len(f.state) && !f.eof; i++ {
 			ok, err := f.readInto(int32(i))
 			if err != nil {
 				return false, false, err
@@ -141,17 +166,27 @@ func (f *Former) NextRun() (desc, ok bool, err error) {
 			if !ok {
 				break
 			}
-			f.pending = append(f.pending, int32(i))
+			f.state[i] = deferred
 		}
 	}
-	if len(f.pending) == 0 {
+	members := 0
+	for i, s := range f.state {
+		if s == deferred {
+			f.state[i] = inRun
+			members++
+		}
+	}
+	if members == 0 {
 		return false, false, nil
 	}
 	f.desc = f.downs > 4*f.ups
 	f.ups, f.downs, f.haveSeen = 0, 0, false
-	f.heap, f.pending = f.pending, f.heap[:0]
-	f.heapify()
-	f.haveLast = false
+	f.tree.Build(func(slot int32) uint64 {
+		if f.state[slot] != inRun {
+			return record.MaxKey
+		}
+		return f.runKey(slot)
+	})
 	return f.desc, true, nil
 }
 
@@ -160,34 +195,31 @@ func (f *Former) NextRun() (desc, ok bool, err error) {
 // when the run is complete (call NextRun for the next one).
 func (f *Former) Fill(out record.Slice) (int, error) {
 	n := 0
-	for n < out.Len() && len(f.heap) > 0 {
-		slot := f.heap[0]
-		rec := f.arena.Record(int(slot))
-		copy(out.Record(n), rec)
-		copy(f.last, rec)
-		f.haveLast = true
+	for n < out.Len() {
+		slot, key := f.tree.Winner()
+		if f.state[slot] != inRun {
+			break // no slot of the current run is left
+		}
+		emitted := out.Record(n)
+		copy(emitted, f.arena.Record(int(slot)))
 		n++
+		st, next := dead, record.MaxKey
 		if !f.eof {
 			ok, err := f.readInto(slot)
 			if err != nil {
 				return n, err
 			}
 			if ok {
-				if f.extends(f.arena.Record(int(slot))) {
-					// The arrival replaces the emitted root in place.
-					f.siftDown(0)
-					continue
+				// The arrival extends the run unless it sorts before the
+				// record it replaces; then it waits for the next run.
+				st = deferred
+				if k := f.runKey(slot); k > key || k == key && f.cmp(f.arena.Record(int(slot)), emitted) >= 0 {
+					st, next = inRun, k
 				}
-				f.pending = append(f.pending, slot)
 			}
 		}
-		// Pop the root: the slot now belongs to pending (or is dead at EOF).
-		top := len(f.heap) - 1
-		f.heap[0] = f.heap[top]
-		f.heap = f.heap[:top]
-		if len(f.heap) > 1 {
-			f.siftDown(0)
-		}
+		f.state[slot] = st
+		f.tree.Replay(slot, next)
 	}
 	return n, nil
 }
@@ -195,71 +227,11 @@ func (f *Former) Fill(out record.Slice) (int, error) {
 // BreakRun force-ends the current run: every resident record is deferred
 // to the next run, so the next Fill returns 0. Callers use it to bound run
 // length when each spilled run must also be retained in memory for redo.
+// The tree is left as it is; NextRun rebuilds it.
 func (f *Former) BreakRun() {
-	f.pending = append(f.pending, f.heap...)
-	f.heap = f.heap[:0]
-}
-
-// extends reports whether rec can join the current run after the last
-// emitted record without violating the run's direction.
-func (f *Former) extends(rec []byte) bool {
-	if !f.haveLast {
-		return true
-	}
-	k := binary.BigEndian.Uint64(rec)
-	lk := binary.BigEndian.Uint64(f.last)
-	if k != lk {
-		if f.desc {
-			return k < lk
+	for i, s := range f.state {
+		if s == inRun {
+			f.state[i] = deferred
 		}
-		return k > lk
-	}
-	c := bytes.Compare(rec, f.last)
-	if f.desc {
-		return c <= 0
-	}
-	return c >= 0
-}
-
-// less orders two slots by the current run's direction: cached prefixes
-// first, full normalized bytes only on prefix ties.
-func (f *Former) less(a, b int32) bool {
-	ka, kb := f.keys[a], f.keys[b]
-	if ka != kb {
-		if f.desc {
-			return ka > kb
-		}
-		return ka < kb
-	}
-	c := bytes.Compare(f.arena.Record(int(a)), f.arena.Record(int(b)))
-	if f.desc {
-		return c > 0
-	}
-	return c < 0
-}
-
-func (f *Former) heapify() {
-	for i := len(f.heap)/2 - 1; i >= 0; i-- {
-		f.siftDown(i)
-	}
-}
-
-func (f *Former) siftDown(i int) {
-	h := f.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && f.less(h[r], h[l]) {
-			m = r
-		}
-		if !f.less(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
 }

@@ -27,36 +27,52 @@ type formedRun struct {
 	recs record.Slice
 }
 
-// formAll drives a Former to exhaustion and returns every run it emits.
-func formAll(t *testing.T, capacity int, in record.Slice) []formedRun {
-	t.Helper()
-	f := New(capacity, in.Size, nil, sliceReader(in))
-	defer f.Close()
-	buf := record.Make(64, in.Size)
+// former is the driving surface the Former and the reference heapFormer
+// share.
+type former interface {
+	NextRun() (desc, ok bool, err error)
+	Fill(out record.Slice) (int, error)
+	BreakRun()
+}
+
+// formRuns drives f to exhaustion through a bufRecs-record buffer and
+// returns every run it emits. With breakAt > 0 a run is cut by BreakRun once
+// it reaches breakAt records, checked after each Fill the way the
+// hierarchical sort bounds a retained run.
+func formRuns(f former, bufRecs, z int, breakAt int) ([]formedRun, error) {
+	buf := record.Make(bufRecs, z)
 	var runs []formedRun
 	for {
 		desc, ok, err := f.NextRun()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
+		if err != nil || !ok {
+			return runs, err
 		}
 		var out bytes.Buffer
 		for {
 			n, err := f.Fill(buf)
 			if err != nil {
-				t.Fatal(err)
+				return runs, err
 			}
 			if n == 0 {
 				break
 			}
 			out.Write(buf.Sub(0, n).Data)
+			if breakAt > 0 && out.Len() >= breakAt*z {
+				f.BreakRun()
+			}
 		}
-		runs = append(runs, formedRun{desc: desc, recs: record.NewSlice(out.Bytes(), in.Size)})
+		runs = append(runs, formedRun{desc: desc, recs: record.NewSlice(out.Bytes(), z)})
 	}
-	if got := f.Consumed(); got != int64(in.Len()) {
-		t.Fatalf("Consumed() = %d, want %d", got, in.Len())
+}
+
+// formAll drives a Former to exhaustion and returns every run it emits.
+func formAll(t *testing.T, capacity int, in record.Slice) []formedRun {
+	t.Helper()
+	f := New(capacity, in.Size, nil, sliceReader(in))
+	defer f.Close()
+	runs, err := formRuns(f, 64, in.Size, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return runs
 }

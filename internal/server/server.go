@@ -431,7 +431,7 @@ func (s *Server) launchFileJob(ctx context.Context, cancel context.CancelFunc, e
 				return
 			}
 			s.wal.append(walRecord{ID: id, State: jobFailed, Error: err.Error()}) //nolint:errcheck // degrade
-			os.RemoveAll(ckpt)                                                   //nolint:errcheck // the failure is durable; the checkpoint is garbage
+			os.RemoveAll(ckpt)                                                    //nolint:errcheck // the failure is durable; the checkpoint is garbage
 			return
 		}
 		sum := res.Summary()

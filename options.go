@@ -97,17 +97,17 @@ type RetryPolicy struct {
 // records that the option was passed at all, so a job can explicitly turn
 // a Config-enabled feature OFF, not just on.
 type sortOptions struct {
-	alg       Algorithm
-	group     int // hybrid group size; 0 selects the non-hybrid alg
-	keySpec   KeySpec
-	padding   PaddingPolicy
-	progress  func(Progress)
-	maxMemory int64        // bytes one run may hold; 0 = only the algorithm's bound
-	fanIn     int          // merge fan-in; 0 = defaultMergeFanIn
-	formation RunFormation // hierarchical run formation; zero value ReplacementSelect
-	fabric    Fabric
-	retry     *RetryPolicy
-	noWait    bool          // fail with ErrBusy instead of queueing for admission
+	alg        Algorithm
+	group      int // hybrid group size; 0 selects the non-hybrid alg
+	keySpec    KeySpec
+	padding    PaddingPolicy
+	progress   func(Progress)
+	maxMemory  int64        // bytes one run may hold; 0 = only the algorithm's bound
+	fanIn      int          // merge fan-in; 0 = defaultMergeFanIn
+	formation  RunFormation // hierarchical run formation; zero value ReplacementSelect
+	fabric     Fabric
+	retry      *RetryPolicy
+	noWait     bool          // fail with ErrBusy instead of queueing for admission
 	checkpoint string        // manifest directory of a durable job; "" = no checkpointing
 	deadline   time.Duration // per-job wall-clock budget; 0 = none
 
@@ -185,7 +185,7 @@ type RunFormation int
 
 const (
 	// ReplacementSelect (the default) forms maximal variable-length runs by
-	// heap-based replacement selection: runs average ~2× the memory cap on
+	// replacement selection on a loser tree: runs average ~2× the memory cap on
 	// random input and collapse to a single run on sorted or nearly-sorted
 	// input (ascending or descending — "down" runs are spilled descending
 	// and merged through a reversed reader). Run count becomes

@@ -8,7 +8,7 @@ package colsort
 // a crash during the merge phase re-merges without re-sorting a single
 // batch; a crash during fixed-batch formation redoes only the batches the
 // crash interrupted; a crash during replacement-selection formation
-// restarts formation (the selection heap's contents died with the process —
+// restarts formation (the former's working set died with the process —
 // its runs do not cover a contiguous source prefix, so there is no point to
 // skip to).
 

@@ -83,6 +83,12 @@ var ErrSinkRequired = errors.New("colsort: a non-nil Sink is required")
 // errors.Is.
 var ErrMemoryTooSmall = errors.New("colsort: the WithMaxMemory cap is too small")
 
+// ErrCorruptOutput marks a single-run sort whose verified output no
+// longer read back as the bytes verification sealed: a segment failed its
+// CRC32-C check on the way to the Sink, twice. The Sink has then received
+// only the verified segments before it. Detect with errors.Is.
+var ErrCorruptOutput = errors.New("colsort: sorted output failed its CRC check on egress")
+
 // ErrNoSpace marks a spill write that failed because the underlying device
 // is full (ENOSPC/EDQUOT). It is classified permanent in the fault
 // taxonomy: the job fails fast without burning retry or batch-redo budget,
@@ -292,6 +298,12 @@ type Result struct {
 	// in its normalized key space, and every egress path decodes through
 	// it. The zero codec is the identity (native key layout).
 	codec record.KeyCodec
+	// seals holds the CRC32-C of every output segment as Verify read it;
+	// egress re-checks each segment against it. Nil until Verify passes.
+	seals []uint32
+	// pools are the run machine's per-processor buffer pools, which lend
+	// Verify its read buffers; nil allocates.
+	pools []*record.Pool
 	// JobID is the engine job number of this sort — the id that names its
 	// scratch-file namespace (pdm.JobScratchPrefix) and attributes it in
 	// engine stats. Ids are unique per engine, assigned in admission order.
@@ -322,8 +334,8 @@ type Result struct {
 type FaultStats struct {
 	DiskRetries   int64 `json:"disk_retries"`   // transient disk faults healed by retry
 	DiskGiveUps   int64 `json:"disk_give_ups"`  // transient faults that exhausted the retry budget
-	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks that failed CRC32C verification
-	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks healed by an invalidate-and-reread
+	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks and sorted-output segments that failed CRC32C verification
+	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks or segments healed by a reread
 	BatchRedos    int64 `json:"batch_redos"`    // run-formation batches re-sorted and re-spilled
 }
 
@@ -429,10 +441,9 @@ func (r *Result) Verify() error {
 		// stream. A Result exists only when all of those passed.
 		return nil
 	}
-	if r.realN > 0 && r.realN < r.Plan.N {
-		return verify.OutputPrefix(r.Output, r.realN, r.want)
-	}
-	return verify.Output(r.Output, r.want)
+	seals, err := verify.Sealed(r.Output, r.RealRecords(), r.want, r.pools)
+	r.seals = seals
+	return err
 }
 
 // RealRecords returns the number of caller records in the output (excluding

@@ -36,5 +36,5 @@ func (s *Sorter) PlanFile(alg Algorithm, inPath string) (core.Plan, error) {
 // prefetched one step ahead of the file writes, so an async-backed store
 // overlaps the output scan with its disk service time.
 func (r *Result) WriteFile(path string) error {
-	return r.drainTo(context.Background(), ToFile(path))
+	return r.drainTo(context.Background(), ToFile(path), nil)
 }

@@ -919,10 +919,8 @@ func skipConsumed(ctx context.Context, rd RecordReader, codec record.KeyCodec, z
 // verifyRunStore applies the engine's output verification to one run store
 // (prefix form when the batch was padded).
 func verifyRunStore(st *pdm.Store, real int64, cs record.Checksum) error {
-	if real < int64(st.R)*int64(st.S) {
-		return verify.OutputPrefix(st, real, cs)
-	}
-	return verify.Output(st, cs)
+	_, err := verify.Sealed(st, real, cs, nil)
+	return err
 }
 
 // spillRun streams the sorted store's real prefix onto a fresh spill disk
@@ -934,7 +932,7 @@ func spillRun(ctx context.Context, st *pdm.Store, real int64, newSpill func() (p
 		return nil, err
 	}
 	w := merge.NewWriter(d, st.RecSize, chunk)
-	if err := scanRealPrefix(ctx, st, real, w.Append); err != nil {
+	if err := scanRealPrefix(ctx, st, real, nil, nil, w.Append); err != nil {
 		d.Close()
 		return nil, err
 	}

@@ -186,7 +186,8 @@ type Cluster struct {
 
 	abortOnce  sync.Once
 	aborted    bool
-	abortCause error // first cause passed to abort; read after Run's wait
+	abortCause error         // first cause passed to abort; read after Run's wait
+	abortCh    chan struct{} // closed by abort
 }
 
 // New builds a zero-copy cluster fabric for p processors. The whole fabric
@@ -204,6 +205,7 @@ func NewFabric(p int, fabric Fabric) *Cluster {
 		mb := &c.boxes[i]
 		mb.cond.L = &mb.mu
 	}
+	c.abortCh = make(chan struct{})
 	c.barrierCv = sync.NewCond(&c.barrierMu)
 	c.xcv = sync.NewCond(&c.xmu)
 	c.xchgs = make(map[xkey]*exchange)
@@ -247,6 +249,7 @@ func (c *Cluster) abort(cause error) {
 		c.abortCause = cause
 		c.barrierCv.Broadcast()
 		c.barrierMu.Unlock()
+		close(c.abortCh)
 		for i := range c.boxes {
 			c.boxes[i].close()
 		}
@@ -321,6 +324,11 @@ type Proc struct {
 
 // Rank returns this processor's id in [0, P).
 func (pr *Proc) Rank() int { return pr.rank }
+
+// Aborted returns a channel that is closed when the fabric aborts (a peer
+// failed or the run's context was cancelled), for a processor that blocks
+// on something other than the fabric's own operations.
+func (pr *Proc) Aborted() <-chan struct{} { return pr.c.abortCh }
 
 // NProcs returns the cluster size P.
 func (pr *Proc) NProcs() int { return pr.c.p }

@@ -83,7 +83,7 @@ type hybridSpec struct {
 // runHybridScatterPass: per round, each group reads one of its columns,
 // sorts it with the in-group distributed columnsort, and scatters records
 // to the blocks of the target columns' owners across all groups.
-func runHybridScatterPass(pr *cluster.Proc, pl Plan, spec hybridSpec, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runHybridScatterPass(pr *cluster.Proc, pl Plan, spec hybridSpec, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	q := pr.Rank()
 	P, g := pl.P, pl.Group
 	ng := P / g
@@ -263,7 +263,7 @@ func runHybridScatterPass(pr *cluster.Proc, pl Plan, spec hybridSpec, in, out *p
 // arrive from the left-hand group, top pieces shift within the group), the
 // group sorts O, and a rotation returns each final half-column to the
 // owners of its rows for true-order writes.
-func runHybridMergePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runHybridMergePass(pr *cluster.Proc, pl Plan, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	q := pr.Rank()
 	P, g := pl.P, pl.Group
 	ng := P / g

@@ -54,7 +54,7 @@ type mcolSpec struct {
 const mcolTagStride = 4 * incore.TagSpan
 
 // runMColScatterPass executes one M-columnsort distribution pass.
-func runMColScatterPass(pr *cluster.Proc, pl Plan, spec mcolSpec, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runMColScatterPass(pr *cluster.Proc, pl Plan, spec mcolSpec, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	q := pr.Rank()
 	P := pl.P
 	r, s, z := pl.R, pl.S, pl.Z
@@ -291,7 +291,7 @@ func runMColScatterPass(pr *cluster.Proc, pl Plan, spec mcolSpec, in, out *pdm.S
 // the two sort stages turns into eight in-core sort stages"), and a
 // half-rotation that lands every final half-column on the processors owning
 // its rows, which are then written in TRUE row order.
-func runMColMergePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runMColMergePass(pr *cluster.Proc, pl Plan, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	q := pr.Rank()
 	P := pl.P
 	r, s, z := pl.R, pl.S, pl.Z

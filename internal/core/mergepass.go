@@ -23,7 +23,7 @@ import (
 // sort, communicate, sort, communicate, permute, write.
 //
 // The pass writes TRUE row order — its output is the sorted file.
-func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	p := pr.Rank()
 	P := pl.P
 	r, s, z := pl.R, pl.S, pl.Z
@@ -47,10 +47,10 @@ func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tag
 
 	read := func(rd round) (round, error) {
 		if next := rd.col + P; next < s {
-			in.PrefetchColumn(p, next) // stage the next round's column
+			in.PrefetchRows(p, next, 0, r) // stage the next round's column
 		}
 		rd.buf = pool.Get(r, z)
-		if err := in.ReadColumn(&cRead, p, rd.col, rd.buf); err != nil {
+		if err := in.ReadRows(&cRead, p, rd.col, 0, rd.buf); err != nil {
 			return rd, err
 		}
 		cRead.Rounds++
@@ -161,7 +161,7 @@ func runMergePass(pr *cluster.Proc, pl Plan, runLen int, in, out *pdm.Store, tag
 
 // runSortPass is the degenerate pass used for single-column problems
 // (s = 1): read, sort, write true order.
-func runSortPass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runSortPass(pr *cluster.Proc, pl Plan, in Input, out *pdm.Store, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	p := pr.Rank()
 	if pl.S != 1 {
 		return fmt.Errorf("core: sort pass requires s=1, got s=%d", pl.S)
@@ -170,7 +170,7 @@ func runSortPass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record.Poo
 		return nil // column 0 belongs to processor 0
 	}
 	buf := pool.Get(pl.R, pl.Z)
-	if err := in.ReadColumn(cnt, 0, 0, buf); err != nil {
+	if err := in.ReadRows(cnt, 0, 0, 0, buf); err != nil {
 		return err
 	}
 	cnt.Rounds++

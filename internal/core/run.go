@@ -86,7 +86,7 @@ type Hooks struct {
 // so that the steady state of the whole sort recycles rather than
 // allocates. onRound, when non-nil, is invoked by the pass's pipeline sink
 // after each round's writes are issued (rank 0 only — progress reporting).
-type passFunc func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error
+type passFunc func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error
 
 // passTagWindow returns the width of the tag space one pass may use, so
 // that consecutive passes sharing one cluster fabric can never collide.
@@ -99,8 +99,9 @@ func passTagWindow(pl Plan) int {
 
 // Run executes the planned algorithm on the machine, consuming columns of
 // input and returning a Result whose Output store holds the sorted data.
-// The input store is left intact (the paper likewise preserves inputs to
-// verify outputs); intermediate stores are closed as they are consumed.
+// An input store is only read, never modified or closed (the caller keeps
+// it, as the paper preserves inputs to verify outputs); a Stream input is
+// consumed by pass 1. Intermediate stores are closed as they are consumed.
 //
 // Cancelling ctx aborts the shared cluster fabric: every processor blocked
 // in communication, a barrier, or a pipeline stage unblocks and unwinds,
@@ -108,7 +109,7 @@ func passTagWindow(pl Plan) int {
 // scratch files) are closed and removed, and Run returns an error
 // satisfying errors.Is(err, ctx.Err()) once the last goroutine has exited —
 // cancellation never leaks goroutines, disk workers or scratch files.
-func Run(ctx context.Context, pl Plan, m pdm.Machine, input *pdm.Store, hooks Hooks) (*Result, error) {
+func Run(ctx context.Context, pl Plan, m pdm.Machine, input Input, hooks Hooks) (*Result, error) {
 	if err := checkRunInput(pl, m, input); err != nil {
 		return nil, err
 	}
@@ -141,8 +142,16 @@ func fabricOf(m pdm.Machine) cluster.Fabric {
 	return cluster.ZeroCopy
 }
 
-// checkRunInput validates the input store and machine against the plan.
-func checkRunInput(pl Plan, m pdm.Machine, input *pdm.Store) error {
+// checkRunInput validates the input's shape and the machine against the
+// plan.
+func checkRunInput(pl Plan, m pdm.Machine, in Input) error {
+	input, ok := in.(*pdm.Store)
+	if s, isStream := in.(*Stream); isStream {
+		input, ok = s.shape, true
+	}
+	if !ok {
+		return fmt.Errorf("core: unsupported input %T", in)
+	}
 	if input.R != pl.R || input.S != pl.S || input.RecSize != pl.Z ||
 		input.P != pl.P || input.Layout != pl.Layout ||
 		(pl.Layout == pdm.GroupBlocked && input.G != pl.Group) {
@@ -160,19 +169,18 @@ func checkRunInput(pl Plan, m pdm.Machine, input *pdm.Store) error {
 // executes a single job on a fresh fabric; a BatchRunner executes a stream
 // of jobs on a persistent one (the hierarchical sort's run-formation loop).
 type passJob struct {
-	input      *pdm.Store
+	input      Input
 	hooks      Hooks
-	tagBase    int // start of this job's tag space on the shared fabric
-	stores     []*pdm.Store
+	tagBase    int          // start of this job's tag space on the shared fabric
+	stores     []*pdm.Store // stores[k+1] is pass k's output; stores[0] stays nil
 	cnts       [][]sim.Counters
 	storeErr   error
 	failedPass atomic.Int64
 }
 
-func newPassJob(pl Plan, input *pdm.Store, hooks Hooks, nPasses, tagBase int) *passJob {
+func newPassJob(pl Plan, input Input, hooks Hooks, nPasses, tagBase int) *passJob {
 	j := &passJob{input: input, hooks: hooks, tagBase: tagBase}
 	j.stores = make([]*pdm.Store, nPasses+1)
-	j.stores[0] = input
 	j.cnts = make([][]sim.Counters, nPasses)
 	for k := range j.cnts {
 		j.cnts[k] = make([]sim.Counters, pl.P)
@@ -208,6 +216,9 @@ func (j *passJob) fail(pl Plan, err error) error {
 // at once.
 func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, passes []passFunc, pools []*record.Pool, window int, job *passJob) error {
 	rounds := pl.Rounds()
+	if s, ok := job.input.(*Stream); ok && pr.Rank() == 0 {
+		s.aborted = pr.Aborted() // published by the barrier before pass 1
+	}
 	for k, pass := range passes {
 		// A cancellation between passes is caught here even when the
 		// pass itself performs no communication (the baselines).
@@ -236,7 +247,11 @@ func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, pa
 				hooks.Progress(Progress{Pass: kk + 1, Passes: len(passes), Round: done, Rounds: rounds})
 			}
 		}
-		if err := pass(pr, job.stores[k], job.stores[k+1], job.tagBase+k*window, pools[pr.Rank()], &job.cnts[k][pr.Rank()], onRound); err != nil {
+		in := job.input
+		if k > 0 {
+			in = job.stores[k]
+		}
+		if err := pass(pr, in, job.stores[k+1], job.tagBase+k*window, pools[pr.Rank()], &job.cnts[k][pr.Rank()], onRound); err != nil {
 			job.failedPass.CompareAndSwap(-1, int64(k))
 			return err
 		}
@@ -261,7 +276,7 @@ func passList(pl Plan) ([]passFunc, error) {
 		n := pl.Alg.Passes()
 		passes := make([]passFunc, n)
 		for k := range passes {
-			passes[k] = func(pr *cluster.Proc, in, out *pdm.Store, _ int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+			passes[k] = func(pr *cluster.Proc, in Input, out *pdm.Store, _ int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 				return runSortPass(pr, pl, in, out, pool, cnt, onRound)
 			}
 		}
@@ -273,16 +288,16 @@ func passList(pl Plan) ([]passFunc, error) {
 	identity := func(i, j int) int { return j }
 
 	scatter := func(spec scatterSpec) passFunc {
-		return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+		return func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 			return runScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
 		}
 	}
 	merge := func(runLen int) passFunc {
-		return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+		return func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 			return runMergePass(pr, pl, runLen, in, out, tagBase, pool, cnt, onRound)
 		}
 	}
-	baseline := func(pr *cluster.Proc, in, out *pdm.Store, _ int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+	baseline := func(pr *cluster.Proc, in Input, out *pdm.Store, _ int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 		return runBaselinePass(pr, pl, in, out, pool, cnt, onRound)
 	}
 
@@ -330,7 +345,7 @@ func passList(pl Plan) ([]passFunc, error) {
 
 	case MColumn:
 		mScatter := func(spec mcolSpec) passFunc {
-			return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+			return func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 				return runMColScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
 			}
 		}
@@ -339,7 +354,7 @@ func passList(pl Plan) ([]passFunc, error) {
 				destCol: func(rank int64, j int) int { return int(rank % int64(s)) }}),
 			mScatter(mcolSpec{name: "m-steps 3-4", chunk: r / s, redistribute: true, colInvariant: true,
 				destCol: func(rank int64, j int) int { return int(rank / (int64(r) / int64(s))) }}),
-			func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+			func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 				return runMColMergePass(pr, pl, in, out, tagBase, pool, cnt, onRound)
 			},
 		}, nil
@@ -348,7 +363,7 @@ func passList(pl Plan) ([]passFunc, error) {
 		sb := bitperm.MustSubblock(r, s)
 		q := sb.SqrtS()
 		mScatter := func(spec mcolSpec) passFunc {
-			return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+			return func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 				return runMColScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
 			}
 		}
@@ -361,7 +376,7 @@ func passList(pl Plan) ([]passFunc, error) {
 				}}),
 			mScatter(mcolSpec{name: "c-steps 3.2-4", chunk: r / s, redistribute: true, colInvariant: true,
 				destCol: func(rank int64, j int) int { return int(rank / (int64(r) / int64(s))) }}),
-			func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+			func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 				return runMColMergePass(pr, pl, in, out, tagBase, pool, cnt, onRound)
 			},
 		}, nil
@@ -369,7 +384,7 @@ func passList(pl Plan) ([]passFunc, error) {
 	case Hybrid:
 		c := int64(r / s)
 		hScatter := func(spec hybridSpec) passFunc {
-			return func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+			return func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 				return runHybridScatterPass(pr, pl, spec, in, out, tagBase, pool, cnt, onRound)
 			}
 		}
@@ -380,7 +395,7 @@ func passList(pl Plan) ([]passFunc, error) {
 			hScatter(hybridSpec{name: "h-steps 3-4",
 				destCol: func(gi int64) int { return int(gi / c) },
 				occ:     func(gi int64) int64 { return gi % c }}),
-			func(pr *cluster.Proc, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+			func(pr *cluster.Proc, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 				return runHybridMergePass(pr, pl, in, out, tagBase, pool, cnt, onRound)
 			},
 		}, nil
@@ -396,7 +411,7 @@ func passList(pl Plan) ([]passFunc, error) {
 // runBaselinePass reads every owned column and writes it back out — the
 // pure-I/O program whose 3- and 4-pass times form the floor lines of
 // Figure 2. It works on both layouts.
-func runBaselinePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runBaselinePass(pr *cluster.Proc, pl Plan, in Input, out *pdm.Store, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	p := pr.Rank()
 	var cRead, cWrite sim.Counters
 
@@ -412,10 +427,10 @@ func runBaselinePass(pr *cluster.Proc, pl Plan, in, out *pdm.Store, pool *record
 			next = rd.col + pl.P
 		}
 		if next < pl.S {
-			nlo, nhi := in.OwnedRows(p, next)
+			nlo, nhi := out.OwnedRows(p, next) // out has the input's shape
 			in.PrefetchRows(p, next, nlo, nhi-nlo)
 		}
-		lo, hi := in.OwnedRows(p, rd.col)
+		lo, hi := out.OwnedRows(p, rd.col)
 		rd.buf = pool.Get(hi-lo, pl.Z)
 		if err := in.ReadRows(&cRead, p, rd.col, lo, rd.buf); err != nil {
 			return rd, err

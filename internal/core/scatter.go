@@ -93,7 +93,7 @@ func sortRunsFor(r, runLen int) []sortalg.Run {
 // write buffers cycle through pool, and the permutation is replayed from
 // precomputed tables (see pattern.go). It merges per-stage counters into
 // cnt when the pass completes.
-func runScatterPass(pr *cluster.Proc, pl Plan, spec scatterSpec, in, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
+func runScatterPass(pr *cluster.Proc, pl Plan, spec scatterSpec, in Input, out *pdm.Store, tagBase int, pool *record.Pool, cnt *sim.Counters, onRound func()) error {
 	p := pr.Rank()
 	P := pl.P
 	r, s, z := pl.R, pl.S, pl.Z
@@ -118,10 +118,10 @@ func runScatterPass(pr *cluster.Proc, pl Plan, spec scatterSpec, in, out *pdm.St
 		// the next round's column so an async disk stages it while this
 		// round's read, sort and communication proceed.
 		if next := rd.col + P; next < s {
-			in.PrefetchColumn(p, next)
+			in.PrefetchRows(p, next, 0, r)
 		}
 		rd.buf = pool.Get(r, z)
-		if err := in.ReadColumn(&cRead, p, rd.col, rd.buf); err != nil {
+		if err := in.ReadRows(&cRead, p, rd.col, 0, rd.buf); err != nil {
 			return rd, err
 		}
 		cRead.Rounds++

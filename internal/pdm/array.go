@@ -63,10 +63,6 @@ func (a *DiskArray) transfer(cnt *sim.Counters, p []byte, off int64, read bool) 
 	if off < 0 {
 		return fmt.Errorf("pdm: negative logical offset %d", off)
 	}
-	last := a.lastWrite
-	if read {
-		last = a.lastRead
-	}
 	for len(p) > 0 {
 		d, phys := a.locate(off)
 		chunk := int(a.StripeBytes - off%a.StripeBytes)
@@ -82,24 +78,50 @@ func (a *DiskArray) transfer(cnt *sim.Counters, p []byte, off int64, read bool) 
 		if err != nil {
 			return err
 		}
-		if cnt != nil {
-			if read {
-				cnt.DiskReadBytes += int64(chunk)
-				if last[d] != phys {
-					cnt.DiskReadOps++
-				}
-			} else {
-				cnt.DiskWriteBytes += int64(chunk)
-				if last[d] != phys {
-					cnt.DiskWriteOps++
-				}
-			}
-		}
-		last[d] = phys + int64(chunk)
+		a.charge(cnt, d, phys, chunk, read)
 		p = p[chunk:]
 		off += int64(chunk)
 	}
 	return nil
+}
+
+// charge accounts one per-disk extent of a transfer: its bytes, and a seek
+// when it does not continue the disk's previous access in that direction.
+func (a *DiskArray) charge(cnt *sim.Counters, d int, phys int64, n int, read bool) {
+	last := a.lastWrite
+	if read {
+		last = a.lastRead
+	}
+	if cnt != nil {
+		if read {
+			cnt.DiskReadBytes += int64(n)
+			if last[d] != phys {
+				cnt.DiskReadOps++
+			}
+		} else {
+			cnt.DiskWriteBytes += int64(n)
+			if last[d] != phys {
+				cnt.DiskWriteOps++
+			}
+		}
+	}
+	last[d] = phys + int64(n)
+}
+
+// chargeRead charges cnt exactly what ReadAt of n bytes at logical offset
+// off would, without touching a disk: a reader that takes the bytes from
+// elsewhere keeps the PDM accounting of the read it stands in for.
+func (a *DiskArray) chargeRead(cnt *sim.Counters, off int64, n int) {
+	for n > 0 {
+		d, phys := a.locate(off)
+		chunk := int(a.StripeBytes - off%a.StripeBytes)
+		if chunk > n {
+			chunk = n
+		}
+		a.charge(cnt, d, phys, chunk, true)
+		n -= chunk
+		off += int64(chunk)
+	}
 }
 
 // Prefetch hints the member disks to stage [off, off+n) of the logical

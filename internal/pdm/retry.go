@@ -99,8 +99,8 @@ func (e *OpError) Unwrap() error { return e.Err }
 type FaultStats struct {
 	Retries       atomic.Int64 // transient disk ops re-issued by RetryDisk
 	GaveUps       atomic.Int64 // transient ops that exhausted the retry budget
-	CorruptChunks atomic.Int64 // run chunks whose CRC32C frame failed verification
-	Rereads       atomic.Int64 // corrupt chunks healed by an invalidate-and-reread
+	CorruptChunks atomic.Int64 // run chunks or output segments whose CRC32C failed verification
+	Rereads       atomic.Int64 // corrupt chunks or segments healed by a reread
 	BatchRedos    atomic.Int64 // hierarchical batches re-sorted/re-spilled
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"colsort/internal/record"
 	"colsort/internal/sim"
@@ -179,6 +180,16 @@ func (st *Store) WriteRows(cnt *sim.Counters, p, j, rowLo int, src record.Slice)
 	return st.Arrays[p].WriteAt(cnt, src.Data, st.offset(p, rowLo, j))
 }
 
+// ChargeRead charges cnt exactly what ReadRows of n rows from rowLo of
+// column j on processor p would, without reading them.
+func (st *Store) ChargeRead(cnt *sim.Counters, p, j, rowLo, n int) error {
+	if err := st.checkRange(p, j, rowLo, n); err != nil {
+		return err
+	}
+	st.Arrays[p].chargeRead(cnt, st.offset(p, rowLo, j), n*st.RecSize)
+	return nil
+}
+
 // PrefetchRows hints processor p's disks to stage rows [rowLo, rowLo+n) of
 // column j ahead of the ReadRows that will consume them. Advisory: rows not
 // owned by p, or disks without an async layer, make it a no-op.
@@ -313,12 +324,9 @@ func (m Machine) Namespaced(ns string) Machine {
 // NewArrays builds the per-processor disk arrays: processor p owns disks
 // {p, p+P, p+2P, ...}, matching the paper's disk-ownership rule.
 func (m Machine) NewArrays() ([]*DiskArray, error) {
-	if m.P < 1 || m.D < m.P || m.D%m.P != 0 {
-		return nil, fmt.Errorf("pdm: need P ≥ 1 and P | D, got P=%d D=%d", m.P, m.D)
-	}
-	stripe := m.StripeBytes
-	if stripe == 0 {
-		stripe = DefaultStripeBytes
+	stripe, err := m.stripe()
+	if err != nil {
+		return nil, err
 	}
 	backend := m.Backend
 	if backend == nil {
@@ -343,6 +351,33 @@ func (m Machine) NewArrays() ([]*DiskArray, error) {
 			disks[k] = d
 		}
 		arrays[p] = NewDiskArray(disks, stripe)
+	}
+	return arrays, nil
+}
+
+// stripe validates the disk count and returns the striping unit.
+func (m Machine) stripe() (int, error) {
+	if m.P < 1 || m.D < m.P || m.D%m.P != 0 {
+		return 0, fmt.Errorf("pdm: need P ≥ 1 and P | D, got P=%d D=%d", m.P, m.D)
+	}
+	if m.StripeBytes == 0 {
+		return DefaultStripeBytes, nil
+	}
+	return m.StripeBytes, nil
+}
+
+// NewMeterArrays builds per-processor arrays striped exactly as NewArrays
+// stripes real ones but with no disks behind them. A store built on them
+// holds no data: it only answers ownership questions and charges reads
+// (ChargeRead) as a store on real arrays would.
+func (m Machine) NewMeterArrays() ([]*DiskArray, error) {
+	stripe, err := m.stripe()
+	if err != nil {
+		return nil, err
+	}
+	arrays := make([]*DiskArray, m.P)
+	for p := range arrays {
+		arrays[p] = NewDiskArray(make([]Disk, m.D/m.P), stripe)
 	}
 	return arrays, nil
 }
@@ -469,36 +504,92 @@ func (st *Store) Fill(g record.Generator) error {
 // successfully — before the remaining segments are visited or prefetched.
 var ErrStopScan = errors.New("pdm: stop scan")
 
+// Segment is one processor's owned rows [Lo, Hi) of column J.
+type Segment struct{ P, J, Lo, Hi int }
+
+// Segments lists every owned segment in global column-major order — the
+// order in which the sorted records appear.
+func (st *Store) Segments() []Segment {
+	segs := make([]Segment, 0, st.S*st.P)
+	for j := 0; j < st.S; j++ {
+		for p := 0; p < st.P; p++ {
+			if lo, hi := st.OwnedRows(p, j); lo < hi {
+				segs = append(segs, Segment{p, j, lo, hi})
+			}
+		}
+	}
+	return segs
+}
+
 // ScanSegments visits every owned (processor, column, row-range) segment of
-// the store in global column-major order — the order in which the sorted
-// records appear — prefetching each segment one step ahead of the visit, so
-// on async-backed disks the caller's per-segment processing overlaps the
-// next segment's read. All the store's serial scans (Snapshot, Checksum,
-// verification, output streaming) are built on it. A visitor returning
+// the store in global column-major order, prefetching each segment one step
+// ahead of the visit, so on async-backed disks the caller's per-segment
+// processing overlaps the next segment's read. The serial consumers of a
+// store (Snapshot, output streaming) are built on it. A visitor returning
 // ErrStopScan ends the scan without error and without staging further
 // prefetches (the stopping visit's one-ahead hint has already been issued;
 // at most that one staged extent goes unconsumed until Close).
 func (st *Store) ScanSegments(visit func(p, j, lo, hi int) error) error {
-	type seg struct{ p, j, lo, hi int }
-	segs := make([]seg, 0, st.S*st.P)
-	for j := 0; j < st.S; j++ {
-		for p := 0; p < st.P; p++ {
-			if lo, hi := st.OwnedRows(p, j); lo < hi {
-				segs = append(segs, seg{p, j, lo, hi})
-			}
-		}
-	}
+	segs := st.Segments()
 	for i, sg := range segs {
 		if i+1 < len(segs) {
 			nx := segs[i+1]
-			st.PrefetchRows(nx.p, nx.j, nx.lo, nx.hi-nx.lo)
+			st.PrefetchRows(nx.P, nx.J, nx.Lo, nx.Hi-nx.Lo)
 		}
-		if err := visit(sg.p, sg.j, sg.lo, sg.hi); err != nil {
+		if err := visit(sg.P, sg.J, sg.Lo, sg.Hi); err != nil {
 			if errors.Is(err, ErrStopScan) {
 				return nil
 			}
 			return err
 		}
+	}
+	return nil
+}
+
+// ScanOwned visits every owned segment once with one goroutine per
+// processor: processor p's goroutine visits p's segments in column order,
+// prefetching each one step ahead, so the P arrays stream concurrently. k
+// is the segment's index in Segments order. Visits on different processors
+// run concurrently, so visit must only touch per-processor or per-segment
+// state. A goroutine stops at its first failing visit, and no goroutine
+// starts a segment beyond the lowest failed k, so every segment before it
+// has been visited; ScanOwned returns that lowest segment's error — the
+// error a serial scan in Segments order would have returned.
+func (st *Store) ScanOwned(visit func(p, k, j, lo, hi int) error) error {
+	segs := st.Segments()
+	var lowest atomic.Int64
+	lowest.Store(int64(len(segs)))
+	errs := make([]error, len(segs))
+	var wg sync.WaitGroup
+	for p := 0; p < st.P; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			next := func(k int) int {
+				for k++; k < len(segs) && segs[k].P != p; k++ {
+				}
+				return k
+			}
+			for k := next(-1); k < len(segs) && int64(k) < lowest.Load(); {
+				nk := next(k)
+				if nk < len(segs) {
+					nx := segs[nk]
+					st.PrefetchRows(p, nx.J, nx.Lo, nx.Hi-nx.Lo)
+				}
+				sg := segs[k]
+				if err := visit(p, k, sg.J, sg.Lo, sg.Hi); err != nil {
+					errs[k] = err
+					for cur := lowest.Load(); int64(k) < cur && !lowest.CompareAndSwap(cur, int64(k)); cur = lowest.Load() {
+					}
+					return
+				}
+				k = nk
+			}
+		}(p)
+	}
+	wg.Wait()
+	if k := lowest.Load(); k < int64(len(segs)) {
+		return errs[k]
 	}
 	return nil
 }
@@ -525,18 +616,26 @@ func (st *Store) Snapshot() (record.Slice, error) {
 }
 
 // Checksum computes the order-independent multiset checksum of the store's
-// contents without holding more than one column in memory.
+// contents in one parallel scan (ScanOwned), holding one column portion
+// per processor in memory.
 func (st *Store) Checksum() (record.Checksum, error) {
-	var cnt sim.Counters
-	var c record.Checksum
-	buf := record.Make(st.R, st.RecSize)
-	err := st.ScanSegments(func(p, j, lo, hi int) error {
-		chunk := buf.Sub(0, hi-lo)
+	sums := make([]record.Checksum, st.P)
+	bufs := make([]record.Slice, st.P)
+	err := st.ScanOwned(func(p, _, j, lo, hi int) error {
+		if bufs[p].Size == 0 {
+			bufs[p] = record.Make(st.R, st.RecSize)
+		}
+		chunk := bufs[p].Sub(0, hi-lo)
+		var cnt sim.Counters
 		if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
 			return err
 		}
-		c.AddSlice(chunk)
+		sums[p].AddSlice(chunk)
 		return nil
 	})
+	var c record.Checksum
+	for _, s := range sums {
+		c.Merge(s)
+	}
 	return c, err
 }

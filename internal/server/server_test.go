@@ -198,6 +198,35 @@ func TestStreamSortRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStreamSortShortBody: a chunked upload that ends before its declared
+// ?records=N reaches the engine, whose first pass reads the body directly;
+// the short read must still be refused with 400 naming the first missing
+// record, before a byte of output is sent.
+func TestStreamSortShortBody(t *testing.T) {
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(t.TempDir(), "scratch"))}, Config{})
+	const n, have = 1000, 700
+	pr, pw := io.Pipe()
+	go func() {
+		pw.Write(make([]byte, have*testZ)) //nolint:errcheck // the server may stop reading early
+		pw.Close()
+	}()
+	resp, err := env.ts.Client().Post(fmt.Sprintf("%s/v1/sort?records=%d", env.ts.URL, n), "application/octet-stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("input record %d", have); !strings.Contains(e.Error, want) || !strings.Contains(e.Error, "unexpected EOF") {
+		t.Errorf("error %q does not name %q and unexpected EOF", e.Error, want)
+	}
+}
+
 // TestStreamSortRejections covers the strict request validation of the
 // streaming endpoint: every bad request is refused with 400 and a JSON
 // error before a single record enters the engine.

@@ -55,8 +55,8 @@ type Counters struct {
 	// cost is its re-issued disk traffic, charged above).
 	DiskRetries   int64 `json:"disk_retries"`   // transient disk faults healed by retry
 	DiskGiveUps   int64 `json:"disk_give_ups"`  // transient faults that exhausted the retry budget
-	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks failing CRC32C verification
-	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks healed by an invalidate-and-reread
+	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks and output segments failing CRC32C verification
+	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks or segments healed by a reread
 	BatchRedos    int64 `json:"batch_redos"`    // hierarchical batches re-sorted/re-spilled
 }
 

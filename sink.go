@@ -13,11 +13,14 @@ import (
 // global column-major sorted order, with any KeySpec normalization already
 // undone. Single-run sorts verify the output (sortedness + multiset)
 // BEFORE opening the sink, so a failed sort never emits a plausible-looking
-// result. Hierarchical (above-bound) sorts necessarily verify in-stream —
-// every run is verified before merging, the merged order is checked record
-// by record, and the multiset at end of stream — so bytes may reach the
-// sink before a late failure is detected: when Sort returns an error, the
-// sink's contents must be discarded. Implementations should therefore not
+// result, and hold every segment they re-read for the sink to the CRC32-C
+// verification recorded: a segment that still reads back wrong after one
+// re-read fails the sort with ErrCorruptOutput, after the segments before
+// it reached the sink. Hierarchical (above-bound) sorts necessarily verify
+// in-stream — every run is verified before merging, the merged order is
+// checked record by record, and the multiset at end of stream — so bytes
+// may reach the sink before a late failure is detected. Either way, when
+// Sort returns an error the sink's contents must be discarded. Implementations should therefore not
 // publish or commit their output before Sort itself returns nil.
 type Sink interface {
 	// Open prepares the sink for records of recSize bytes. Sort writes the

@@ -8,6 +8,7 @@ import (
 	"colsort/internal/pdm"
 	"colsort/internal/record"
 	"colsort/internal/sim"
+	"colsort/internal/verify"
 )
 
 // Sort submits one sorting job to the engine: the records of src are
@@ -17,12 +18,16 @@ import (
 //	        colsort.WithAlgorithm(colsort.Subblock),
 //	        colsort.WithKeySpec(colsort.KeySpec{Offset: 16, Width: 8}))
 //
-// The input is ingested once, in index order, onto the simulated cluster's
-// disks (never more than one column portion in memory), sorted by the
-// configured algorithm, verified (global sortedness in PDM column-major
-// order plus multiset preservation) and — when dst is non-nil — streamed
-// into the sink with any padding trimmed and any KeySpec normalization
-// undone. A nil dst keeps the sorted data in Result.Output only.
+// The input is read once, in index order, by the first pass itself:
+// each processor reads its own column portions from the source straight
+// into its pass buffers, so no copy of the input lands on the simulated
+// cluster's disks. The records are
+// sorted by the configured algorithm, verified (global sortedness in PDM
+// column-major order plus multiset preservation, in one parallel scan)
+// and — when dst is non-nil — streamed into the sink with any padding
+// trimmed and any KeySpec normalization undone, each segment checked
+// against the CRC32-C its verification recorded. A nil dst keeps the
+// sorted data in Result.Output only.
 //
 // Sort is unbounded in n: when the record count exceeds the selected
 // algorithm's problem-size bound (or a WithMaxMemory cap), the input is
@@ -143,19 +148,35 @@ func (j *job) run(ctx context.Context, src Source, rd RecordReader, dst Sink, o 
 	}
 
 	// An existing store of exactly the planned shape under the native key
-	// is consumed in place — no ingest copy.
-	input, ownInput, want, err := ingest(ctx, j.m, src, rd, pl, codec, n)
+	// is consumed in place; every other source streams straight into pass
+	// 1's buffers, with no ingest copy.
+	var in core.Input
+	var stream *streamInput
+	var want record.Checksum
+	if ss, ok := src.(*storeSource); ok && codec.Identity() && n == pl.N && storeMatchesPlan(ss.st, pl) {
+		cs, err := ss.st.Checksum()
+		if err != nil {
+			return nil, err
+		}
+		in, want = ss.st, cs
+	} else {
+		stream = &streamInput{rd: rd, codec: codec, n: n, sums: make([]record.Checksum, pl.P)}
+		st, err := core.NewStream(pl, j.m, stream.read, stream.finish)
+		if err != nil {
+			return nil, err
+		}
+		in = st
+	}
+	res, err := core.Run(ctx, pl, j.m, in, core.Hooks{Progress: o.progress})
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(ctx, pl, j.m, input, core.Hooks{Progress: o.progress})
-	if ownInput {
-		input.Close()
+	if stream != nil {
+		for _, cs := range stream.sums {
+			want.Merge(cs)
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Result: res, want: want, codec: codec}
+	out := &Result{Result: res, want: want, codec: codec, pools: j.m.Pools}
 	if n < pl.N {
 		out.realN = n
 	}
@@ -166,7 +187,7 @@ func (j *job) run(ctx context.Context, src Source, rd RecordReader, dst Sink, o 
 			out.Close()
 			return nil, fmt.Errorf("colsort: refusing to emit output: %w", err)
 		}
-		if err := out.drainTo(ctx, dst); err != nil {
+		if err := out.drainTo(ctx, dst, &j.faults); err != nil {
 			out.Close()
 			return nil, err
 		}
@@ -187,26 +208,51 @@ func (e *Engine) planOpts(o sortOptions, n int64) (core.Plan, error) {
 	return e.planPadded(o.alg, n)
 }
 
-// ingest materializes the plan's input store on machine m: either the
-// source's own store consumed in place (ownInput = false), or a fresh
-// store filled from the source's record stream (ownInput = true). want is
-// the multiset checksum of the real records in the engine's normalized key
-// space.
-func ingest(ctx context.Context, m pdm.Machine, src Source, rd RecordReader, pl core.Plan, codec record.KeyCodec, n int64) (input *pdm.Store, ownInput bool, want record.Checksum, err error) {
-	if ss, ok := src.(*storeSource); ok && codec.Identity() && n == pl.N && storeMatchesPlan(ss.st, pl) {
-		want, err = ss.st.Checksum()
-		return ss.st, false, want, err
+// streamInput feeds a core.Stream from the source's record stream. read
+// runs under the stream's turn and only fills the real records, straight
+// into the pass's buffer; finish runs on the reading rank after it hands
+// the turn on: it normalizes the records through the codec, folds them into
+// that rank's checksum, and pads the rest of the segment with all-0xFF
+// records — which are maximal in the normalized space, so they sort to the
+// end for every KeySpec.
+type streamInput struct {
+	rd    RecordReader
+	codec record.KeyCodec
+	n     int64
+	sums  []record.Checksum // per rank
+}
+
+// realLen returns how many of the size records starting at global index
+// first are real.
+func (s *streamInput) realLen(first int64, size int) int {
+	return int(min(max(s.n-first, 0), int64(size)))
+}
+
+func (s *streamInput) read(dst record.Slice, first int64) error {
+	recs := dst.Sub(0, s.realLen(first, dst.Len()))
+	if cr, ok := s.rd.(*chunkedReader); ok { // file and stream sources: no per-record copy
+		if got, err := cr.readRecords(recs); err != nil {
+			return fmt.Errorf("colsort: input record %d: %w", first+int64(got), err)
+		}
+		return nil
 	}
-	input, err = pl.NewStore(m)
-	if err != nil {
-		return nil, false, want, err
+	for i := 0; i < recs.Len(); i++ {
+		if err := s.rd.ReadRecord(recs.Record(i)); err != nil {
+			return fmt.Errorf("colsort: input record %d: %w", first+int64(i), err)
+		}
 	}
-	want, err = fillStore(ctx, input, rd, codec, n)
-	if err != nil {
-		input.Close()
-		return nil, false, want, err
+	return nil
+}
+
+func (s *streamInput) finish(p int, dst record.Slice, first int64) {
+	real := s.realLen(first, dst.Len())
+	recs := dst.Sub(0, real)
+	s.codec.Encode(recs)
+	s.sums[p].AddSlice(recs)
+	pad := dst.Data[real*dst.Size:]
+	for i := range pad {
+		pad[i] = 0xff
 	}
-	return input, true, want, nil
 }
 
 // storeMatchesPlan mirrors core.Run's input-shape check.
@@ -218,9 +264,9 @@ func storeMatchesPlan(st *pdm.Store, pl core.Plan) bool {
 // fillStore streams the source's records into the store in global
 // column-major index order (the order Store.Fill assigns), normalizing each
 // record through the codec, folding the real records into the returned
-// checksum, and padding any remainder with all-0xFF records — which are
-// maximal in the normalized space, so they sort to the end for every
-// KeySpec.
+// checksum, and padding any remainder with all-0xFF records. The
+// hierarchical fixed-batch path fills its batch stores with it: a batch
+// redo re-runs from the filled store.
 func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record.KeyCodec, n int64) (record.Checksum, error) {
 	var cnt sim.Counters
 	var want record.Checksum
@@ -270,8 +316,11 @@ func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record
 // drainTo streams the result's real records into the sink, decoding each
 // chunk back to the caller's byte layout. Each owned row segment is
 // prefetched one step ahead, so an async-backed store overlaps the sink
-// writes with its disk service time.
-func (r *Result) drainTo(ctx context.Context, dst Sink) error {
+// writes with its disk service time. When the result was verified, each
+// segment is first held to the seal its verification recorded
+// (checkSeal), so the sink only ever receives verified bytes; faults, when
+// non-nil, counts the corrupt reads.
+func (r *Result) drainTo(ctx context.Context, dst Sink, faults *pdm.FaultStats) error {
 	if r.Output == nil {
 		return fmt.Errorf("colsort: hierarchical result holds no output store: the sorted records were already streamed to the Sort call's Sink")
 	}
@@ -279,7 +328,7 @@ func (r *Result) drainTo(ctx context.Context, dst Sink) error {
 	if err != nil {
 		return err
 	}
-	err = scanRealPrefix(ctx, r.Output, r.RealRecords(), func(chunk record.Slice) error {
+	err = scanRealPrefix(ctx, r.Output, r.RealRecords(), r.seals, faults, func(chunk record.Slice) error {
 		r.codec.Decode(chunk)
 		return w.Write(chunk)
 	})
@@ -293,12 +342,15 @@ func (r *Result) drainTo(ctx context.Context, dst Sink) error {
 // scanRealPrefix streams the real (non-pad) prefix of a sorted store in
 // global column-major order, invoking emit with successive record chunks.
 // The pad tail is neither read nor prefetched (ErrStopScan), and each owned
-// segment is prefetched one step ahead by ScanSegments. Shared by the sink
-// egress (drainTo) and the hierarchical run spill (spillRun).
-func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, emit func(record.Slice) error) error {
+// segment is prefetched one step ahead by ScanSegments. With seals (one
+// per segment, from verify.Sealed) every segment read is checked against
+// its seal before emit sees it. Shared by the sink egress (drainTo) and the
+// hierarchical run spill (spillRun).
+func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, seals []uint32, faults *pdm.FaultStats, emit func(record.Slice) error) error {
 	var cnt sim.Counters
 	buf := record.Make(st.R, st.RecSize)
 	remaining := real
+	k := 0
 	return st.ScanSegments(func(p, j, lo, hi int) error {
 		if remaining <= 0 {
 			return pdm.ErrStopScan
@@ -310,6 +362,12 @@ func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, emit func(re
 		if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
 			return err
 		}
+		if seals != nil {
+			if err := checkSeal(st, p, j, lo, chunk, seals[k], faults); err != nil {
+				return err
+			}
+		}
+		k++
 		recs := int64(chunk.Len())
 		if recs > remaining {
 			recs = remaining
@@ -320,4 +378,29 @@ func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, emit func(re
 		remaining -= recs
 		return nil
 	})
+}
+
+// checkSeal holds one segment read to the CRC32-C its verification
+// recorded. On a mismatch the segment is re-read once — a damaged read
+// heals, the async layer's staged copy was consumed by the first read —
+// and the detection (and a heal) is counted in faults; a second mismatch
+// fails with ErrCorruptOutput.
+func checkSeal(st *pdm.Store, p, j, lo int, chunk record.Slice, seal uint32, faults *pdm.FaultStats) error {
+	if verify.CRC(chunk.Data) == seal {
+		return nil
+	}
+	if faults != nil {
+		faults.CorruptChunks.Add(1)
+	}
+	var cnt sim.Counters
+	if err := st.ReadRows(&cnt, p, j, lo, chunk); err != nil {
+		return err
+	}
+	if verify.CRC(chunk.Data) != seal {
+		return fmt.Errorf("%w: column %d rows [%d,%d) of processor %d", ErrCorruptOutput, j, lo, lo+chunk.Len(), p)
+	}
+	if faults != nil {
+		faults.Rereads.Add(1)
+	}
+	return nil
 }

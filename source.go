@@ -19,7 +19,9 @@ type Source interface {
 	// Open prepares the source for a sorter whose records are recSize
 	// bytes, returning the exact number of records and a reader positioned
 	// at record 0. Sort consumes each record exactly once, in index order,
-	// and closes the reader when ingest completes.
+	// and closes the reader before it returns. Below the single-run bound
+	// the first pass reads the records as it goes, so reads interleave
+	// with the sort's own work.
 	Open(recSize int) (n int64, r RecordReader, err error)
 }
 
@@ -106,13 +108,27 @@ func newChunkedReader(r io.Reader, close func() error) *chunkedReader {
 }
 
 func (c *chunkedReader) ReadRecord(rec []byte) error {
-	if _, err := io.ReadFull(c.br, rec); err != nil {
+	_, err := c.fill(rec)
+	return err
+}
+
+// readRecords fills dst with one ReadFull — a read of at least the chunk
+// size into an empty buffer goes straight into dst, without a copy — and
+// returns how many whole records it filled before an error.
+func (c *chunkedReader) readRecords(dst record.Slice) (int, error) {
+	got, err := c.fill(dst.Data)
+	return got / dst.Size, err
+}
+
+func (c *chunkedReader) fill(b []byte) (int, error) {
+	got, err := io.ReadFull(c.br, b)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return fmt.Errorf("colsort: read input: %w", err)
+		return got, fmt.Errorf("colsort: read input: %w", err)
 	}
-	return nil
+	return got, nil
 }
 
 func (c *chunkedReader) Close() error {
@@ -178,9 +194,8 @@ func (r *bytesReader) Close() error { return nil }
 // store is preserved — the caller keeps ownership and must Close it.
 //
 // When the store's shape already matches the plan and the sort uses the
-// native key, the engine consumes it in place with no ingest copy;
-// otherwise its records are streamed into a fresh input store of the
-// planned shape.
+// native key, the engine consumes it in place; otherwise its records are
+// streamed like any other source's.
 func FromStore(st *pdm.Store) Source {
 	return &storeSource{st: st}
 }

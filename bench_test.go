@@ -411,10 +411,9 @@ func BenchmarkMergeSortFile(b *testing.B) {
 	}
 }
 
-// BenchmarkRunFormation compares the two hierarchical run-formation
-// strategies head to head on random and nearly-sorted input. Replacement
-// selection forms ~2× longer runs than a fixed batch on random input —
-// halving the merge fan-in pressure — and absorbs nearly-sorted input
+// BenchmarkRunFormation times the hierarchical path's run formation and
+// merge on random and nearly-sorted input. Replacement selection forms runs
+// of ~2× its working set on random input and absorbs nearly-sorted input
 // into a single run, collapsing the merge entirely. The formed run count
 // is reported alongside the timings.
 func BenchmarkRunFormation(b *testing.B) {
@@ -427,13 +426,10 @@ func BenchmarkRunFormation(b *testing.B) {
 	n := 3 * bound
 	for _, bc := range []struct {
 		name string
-		form RunFormation
 		gen  record.Generator
 	}{
-		{"replacement-select/uniform", ReplacementSelect, record.Uniform{Seed: 3}},
-		{"fixed-batch/uniform", FixedBatch, record.Uniform{Seed: 3}},
-		{"replacement-select/nearly-sorted", ReplacementSelect, record.NearlySorted{Seed: 3, Window: 64}},
-		{"fixed-batch/nearly-sorted", FixedBatch, record.NearlySorted{Seed: 3, Window: 64}},
+		{"replacement-select/uniform", record.Uniform{Seed: 3}},
+		{"replacement-select/nearly-sorted", record.NearlySorted{Seed: 3, Window: 64}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
@@ -445,7 +441,7 @@ func BenchmarkRunFormation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := s.Sort(context.Background(), Generate(bc.gen, n), Discard(),
-					WithAlgorithm(Threaded), WithRunFormation(bc.form))
+					WithAlgorithm(Threaded))
 				if err != nil {
 					b.Fatal(err)
 				}

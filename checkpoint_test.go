@@ -12,9 +12,12 @@ package colsort
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,14 +38,76 @@ func ckptConfig(t *testing.T, dir string) *Sorter {
 	return s
 }
 
+// legacyManifest rewrites a crashed job's manifest into the format of an
+// older release whose jobs could form fixed batches: the begin entry names
+// "formation":"fixed-batch", and every run entry carries the cumulative
+// source records consumed ("consumed") with a multiset checksum ("want").
+// This release reads neither field; the rewrite pins that such a manifest
+// still replays. The checksum value is the ingest_done one when the
+// manifest has it (only its JSON shape matters).
+func legacyManifest(t *testing.T, ckptDir string) {
+	t.Helper()
+	path := filepath.Join(ckptDir, "manifest.wal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	entries := make([]map[string]json.RawMessage, len(lines))
+	want := json.RawMessage(`{}`)
+	for i, line := range lines {
+		if err := json.Unmarshal([]byte(line), &entries[i]); err != nil {
+			t.Fatalf("manifest line %d: %v", i+1, err)
+		}
+		if string(entries[i]["type"]) == `"ingest_done"` {
+			want = entries[i]["want"]
+		}
+	}
+	var out bytes.Buffer
+	var consumed int64
+	runs := 0
+	for _, e := range entries {
+		switch string(e["type"]) {
+		case `"begin"`:
+			e["formation"] = json.RawMessage(`"fixed-batch"`)
+		case `"run"`:
+			var r struct{ Records int64 }
+			if err := json.Unmarshal(e["run"], &r); err != nil {
+				t.Fatal(err)
+			}
+			consumed += r.Records
+			e["consumed"] = json.RawMessage(fmt.Sprint(consumed))
+			e["want"] = want
+			runs++
+		}
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(append(line, '\n'))
+	}
+	if runs == 0 {
+		t.Fatal("the crashed job's manifest records no durable run to rewrite")
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckpointResumeMidMerge crashes a checkpointed sort during the merge
 // phase and resumes it: the output must be byte-identical to the
-// uninterrupted sort and ZERO batches re-sorted — every run is adopted from
-// the manifest (ResumedRuns == the full live set, BatchRedos == 0).
+// uninterrupted sort and ZERO records re-sorted — every run is adopted from
+// the manifest (ResumedRuns == the full live set, BatchRedos == 0). The
+// fixed-batch case resumes from the same crash state written in an older
+// release's fixed-batch manifest format (legacyManifest).
 func TestCheckpointResumeMidMerge(t *testing.T) {
-	for _, form := range []RunFormation{FixedBatch, ReplacementSelect} {
-		form := form
-		t.Run(form.String(), func(t *testing.T) {
+	for _, legacy := range []bool{true, false} {
+		legacy := legacy
+		name := "replacement-select"
+		if legacy {
+			name = "fixed-batch"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := ckptConfig(t, dir)
 			bound := s.MaxRecords(Threaded)
@@ -58,7 +123,7 @@ func TestCheckpointResumeMidMerge(t *testing.T) {
 			defer cancel()
 			var once sync.Once
 			res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-				WithRunFormation(form), WithMergeFanIn(2), WithCheckpoint(ckptDir),
+				WithMergeFanIn(2), WithCheckpoint(ckptDir),
 				WithProgress(func(ev Progress) {
 					if ev.Pass == 0 && ev.MergedRecords > 0 {
 						once.Do(cancel)
@@ -73,6 +138,9 @@ func TestCheckpointResumeMidMerge(t *testing.T) {
 			}
 			if _, err := os.Stat(filepath.Join(ckptDir, "manifest.wal")); err != nil {
 				t.Fatalf("crashed job left no manifest: %v", err)
+			}
+			if legacy {
+				legacyManifest(t, ckptDir)
 			}
 
 			var out bytes.Buffer
@@ -116,7 +184,8 @@ func TestCheckpointResumeAfterFirstMerge(t *testing.T) {
 	s := ckptConfig(t, dir)
 	runN := int(s.MaxRecords(Threaded))
 	n := 4*runN + runN/2
-	raw := genRaw(n, 32, record.Uniform{Seed: 35})
+	// Five runs of known sizes: four of runN records, one of runN/2.
+	raw := staircase(t, genRaw(n, 32, record.Uniform{Seed: 35}), 32, []int{runN, runN, runN, runN, runN / 2})
 	ckptDir := filepath.Join(dir, "ckpt")
 
 	// At fan-in 4 the five runs plan as one 2-way merge of 1.5 runs'
@@ -126,7 +195,7 @@ func TestCheckpointResumeAfterFirstMerge(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithMergeFanIn(4), WithCheckpoint(ckptDir),
+		WithMergeFanIn(4), WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.MergedRecords >= first {
 				cancel()
@@ -174,7 +243,7 @@ func TestCheckpointResumeMidMergeNilSource(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithMergeFanIn(2), WithCheckpoint(ckptDir),
+		WithMergeFanIn(2), WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				once.Do(cancel)
@@ -196,10 +265,12 @@ func TestCheckpointResumeMidMergeNilSource(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeMidFormation crashes a fixed-batch job between
-// formation batches: Resume must skip (and checksum-verify) the source
-// prefix the durable runs cover, re-sort only the interrupted tail, and
-// still produce byte-identical output.
+// TestCheckpointResumeMidFormation crashes a job during run formation, with
+// durable runs already in its manifest, and rewrites the manifest into an
+// older release's fixed-batch format (legacyManifest), whose formation-phase
+// resume skipped the durable prefix. Resume must restart formation instead:
+// no run adopted, the crashed attempt's ckpt- spill files swept before the
+// restarted job forms anything, and the output byte-identical.
 func TestCheckpointResumeMidFormation(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptConfig(t, dir)
@@ -212,9 +283,9 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithCheckpoint(ckptDir),
+		WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
-			if ev.Batch >= 3 { // at least two whole batches are durable
+			if ev.FormedRecords > 0 && ev.Batch >= 3 { // runs 1 and 2 are durable
 				once.Do(cancel)
 			}
 		}))
@@ -222,41 +293,38 @@ func TestCheckpointResumeMidFormation(t *testing.T) {
 		res.Close()
 		t.Fatal("cancelled checkpointed sort returned no error")
 	}
+	legacyManifest(t, ckptDir)
+	stale, err := filepath.Glob(filepath.Join(ckptDir, "ckpt-*"))
+	if err != nil || len(stale) < 2 {
+		t.Fatalf("crashed formation left %d spill files (%v), want ≥ 2", len(stale), err)
+	}
 
 	var out bytes.Buffer
-	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out))
+	var leftover []string
+	var checked sync.Once
+	rres, err := s.Resume(context.Background(), ckptDir, FromBytes(raw), ToWriter(&out),
+		WithProgress(func(Progress) {
+			checked.Do(func() {
+				for _, p := range stale {
+					if _, err := os.Stat(p); err == nil {
+						leftover = append(leftover, p)
+					}
+				}
+			})
+		}))
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
 	defer rres.Close()
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, 32, KeySpec{})) {
-		t.Error("formation-resumed output is not byte-identical to the reference")
+		t.Error("formation-restarted output is not byte-identical to the reference")
 	}
-	if rres.Merge.ResumedRuns == 0 || rres.Merge.ResumedRuns >= rres.Merge.Runs {
-		t.Errorf("ResumedRuns = %d of %d runs; a formation-phase resume adopts some and forms the rest",
+	if rres.Merge.ResumedRuns != 0 {
+		t.Errorf("ResumedRuns = %d of %d runs, want 0: a formation-phase crash restarts formation",
 			rres.Merge.ResumedRuns, rres.Merge.Runs)
 	}
-
-	// A changed source is refused, not silently merged against stale runs.
-	// (Resume after success already retired this manifest, so crash again.)
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	var once2 sync.Once
-	res, err = s.Sort(ctx2, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithCheckpoint(ckptDir),
-		WithProgress(func(ev Progress) {
-			if ev.Batch >= 3 {
-				once2.Do(cancel2)
-			}
-		}))
-	if err == nil {
-		res.Close()
-		t.Fatal("second cancelled sort returned no error")
-	}
-	altered := append([]byte(nil), raw...)
-	altered[0] ^= 0xff
-	if _, err := s.Resume(context.Background(), ckptDir, FromBytes(altered), Discard()); err == nil {
-		t.Error("Resume accepted a source whose consumed prefix no longer matches the manifest")
+	if len(leftover) != 0 {
+		t.Errorf("orphan spill files survived into the restarted formation: %v", leftover)
 	}
 }
 
@@ -275,7 +343,7 @@ func TestCheckpointRSFormationRestart(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(ReplacementSelect), WithCheckpoint(ckptDir),
+		WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.FormedRecords > 0 && ev.MergedRecords == 0 {
 				once.Do(cancel)
@@ -329,7 +397,7 @@ func TestResumeValidation(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err = s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithCheckpoint(ckptDir),
+		WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				once.Do(cancel)
@@ -362,7 +430,7 @@ func TestManifestTornTail(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	res, err := s.Sort(ctx, FromBytes(raw), Discard(),
-		WithRunFormation(FixedBatch), WithMergeFanIn(2), WithCheckpoint(ckptDir),
+		WithMergeFanIn(2), WithCheckpoint(ckptDir),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				once.Do(cancel)

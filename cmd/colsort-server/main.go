@@ -13,7 +13,7 @@
 //
 // With -data DIR, POST /v1/jobs submits asynchronous sorts of files under
 // DIR; GET /v1/jobs/{id} reports state and the result summary,
-// GET /v1/jobs/{id}/progress pushes batch/pass/merge progress as
+// GET /v1/jobs/{id}/progress pushes formation/pass/merge progress as
 // Server-Sent Events, and DELETE /v1/jobs/{id} cancels. GET /metrics
 // exposes the engine's stats and the fault/sim counters in Prometheus text
 // format; GET /healthz is the load-balancer check.

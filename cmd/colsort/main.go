@@ -40,7 +40,7 @@
 // -checkpoint DIR persists a run manifest while a hierarchical sort spills
 // its runs; after a crash or Ctrl-C, the same command with -resume picks
 // the sort back up from that manifest, adopting the durable runs instead of
-// re-sorting them (see DESIGN.md §13). -deadline bounds the whole sort's
+// re-sorting them (see DESIGN.md §12). -deadline bounds the whole sort's
 // wall clock, failing it cleanly when exceeded.
 //
 // -jobs N serves N concurrent sorts from ONE shared engine (warm buffer
@@ -91,10 +91,9 @@ func main() {
 	outPath := flag.String("out", "", "write the sorted records to this file (requires -in)")
 	maxMemMiB := flag.Int64("max-memory-mib", 0, "cap one columnsort run at this many MiB of records; inputs above the cap (or the algorithm's bound) sort as runs + k-way merge (0: bound only)")
 	mergeFanIn := flag.Int("merge-fanin", 0, "maximum runs merged at once on the hierarchical path (0: default 16)")
-	runFormation := flag.String("run-formation", "replacement-select", "hierarchical run formation: replacement-select (maximal up/down runs formed on a loser tree) or fixed-batch (engine-sorted batches of exactly the run-plan size)")
 	retries := flag.Int("retries", 0, "fault tolerance: attempts per disk operation before a transient fault escapes (0: default 4; 1 disables retries)")
 	retryBaseUS := flag.Int("retry-base-us", 0, "fault tolerance: first backoff delay in microseconds, doubling per attempt (0: default 200)")
-	redoBudget := flag.Int("redo-budget", 0, "fault tolerance: hierarchical batches that may be re-sorted and re-spilled (0: default 2; negative disables)")
+	redoBudget := flag.Int("redo-budget", 0, "fault tolerance: hierarchical runs that may be re-spilled from their retained copy while scrubbing (0: default 2; negative disables)")
 	scrub := flag.Bool("scrub", false, "fault tolerance: CRC-read every spilled run back after writing it (always on under -chaos-*)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "chaos: fault-injection seed (0: $COLSORT_CHAOS_SEED, else 1)")
 	chaosPTransient := flag.Float64("chaos-p-transient", 0, "chaos: per-operation probability of a transient disk fault")
@@ -128,11 +127,6 @@ func main() {
 	g, ok := record.ByName(*gen, *seed)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown generator %q (have: %s)\n", *gen, strings.Join(record.Names(), ", "))
-		os.Exit(2)
-	}
-	formation, ok := colsort.RunFormationByName(*runFormation)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -run-formation %q (have: replacement-select, fixed-batch)\n", *runFormation)
 		os.Exit(2)
 	}
 
@@ -210,7 +204,6 @@ func main() {
 	if *mergeFanIn > 0 {
 		opts = append(opts, colsort.WithMergeFanIn(*mergeFanIn))
 	}
-	opts = append(opts, colsort.WithRunFormation(formation))
 	if *checkpoint != "" {
 		opts = append(opts, colsort.WithCheckpoint(*checkpoint))
 	}
@@ -235,7 +228,7 @@ func main() {
 	if *progress {
 		lastPct := -10 // one decade below 0 so the first merge event prints
 		opts = append(opts, colsort.WithProgress(func(ev colsort.Progress) {
-			if ev.Pass == 0 && ev.FormedRecords > 0 { // replacement-selection run formation
+			if ev.Pass == 0 && ev.FormedRecords > 0 { // hierarchical run formation
 				if ev.TotalRecords > 0 {
 					fmt.Fprintf(os.Stderr, "formed run %d: %d/%d records (%d%%)\n",
 						ev.Batch, ev.FormedRecords, ev.TotalRecords, 100*ev.FormedRecords/ev.TotalRecords)
@@ -251,18 +244,13 @@ func main() {
 				return
 			}
 			if ev.Round == 0 || ev.Round == ev.Rounds {
-				if ev.Batches > 0 {
-					fmt.Fprintf(os.Stderr, "run %d/%d pass %d/%d: %d/%d rounds\n",
-						ev.Batch, ev.Batches, ev.Pass, ev.Passes, ev.Round, ev.Rounds)
-					return
-				}
 				fmt.Fprintf(os.Stderr, "pass %d/%d: %d/%d rounds\n", ev.Pass, ev.Passes, ev.Round, ev.Rounds)
 			}
 		}))
 	}
 
 	if *planOnly {
-		plan, err := planFor(engine, alg, *group, *inPath, *n, *z, *maxMemMiB<<20, formation)
+		plan, err := planFor(engine, alg, *group, *inPath, *n, *z, *maxMemMiB<<20)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -338,7 +326,7 @@ func main() {
 	case *inPath != "":
 		fmt.Printf("sorted %d records of %s into %s (plan: %s)\n", res.RealRecords(), *inPath, *outPath, res.Plan.String())
 		if res.Merge != nil {
-			fmt.Println("verified in-stream: every run verified, merge order checked, multiset preserved")
+			fmt.Println("verified in-stream: every run CRC-checked, merge order checked, multiset preserved")
 		} else {
 			// Single-run file sorts verify BEFORE -out is written.
 			fmt.Println("verified: output sorted, multiset preserved")
@@ -350,7 +338,7 @@ func main() {
 		}
 		fmt.Println("plan:", res.Plan.String())
 		if res.Merge != nil {
-			fmt.Println("verified in-stream: every run verified, merge order checked, multiset preserved")
+			fmt.Println("verified in-stream: every run CRC-checked, merge order checked, multiset preserved")
 		} else {
 			fmt.Println("verified: output sorted in PDM order, multiset preserved")
 		}
@@ -440,7 +428,7 @@ func serveJobs(ctx context.Context, engine *colsort.Engine, n int,
 // planFor reports the plan the equivalent Sort call would execute,
 // including the hierarchical runs-plus-merge plan for inputs beyond the
 // single-run bound or a -max-memory-mib cap.
-func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath string, n int64, z int, maxMem int64, formation colsort.RunFormation) (interface{ String() string }, error) {
+func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath string, n int64, z int, maxMem int64) (interface{ String() string }, error) {
 	if alg == colsort.Hybrid {
 		if inPath != "" {
 			return engine.PlanFile(alg, inPath) // rejects hybrid file sorts, as the run would
@@ -481,23 +469,18 @@ func planFor(engine *colsort.Engine, alg colsort.Algorithm, group int, inPath st
 	if overCap && int64(batches) == 1 {
 		return single, nil // the cap admits the whole input in one run
 	}
-	return hierPlan{runPl: runPl, batches: batches, formation: formation}, nil
+	return hierPlan{runPl: runPl, batches: batches}, nil
 }
 
-// hierPlan pretty-prints a hierarchical execution plan. Under replacement
-// selection the batch count is a worst-case bound (maximal runs are at
-// least as long as fixed batches), so it renders as "≤ N runs"; fixed
-// batching executes exactly N.
+// hierPlan pretty-prints a hierarchical execution plan. The batch count is
+// a worst-case bound (every replacement-selection run but the last holds
+// at least the run plan's records), so it renders as "≤ N runs".
 type hierPlan struct {
-	runPl     interface{ String() string }
-	batches   int
-	formation colsort.RunFormation
+	runPl   interface{ String() string }
+	batches int
 }
 
 func (h hierPlan) String() string {
-	if h.formation == colsort.FixedBatch {
-		return fmt.Sprintf("hierarchical: %d fixed-batch runs + k-way merge, each run [%s]", h.batches, h.runPl)
-	}
 	return fmt.Sprintf("hierarchical: ≤%d replacement-selection runs + k-way merge, each formed over [%s]", h.batches, h.runPl)
 }
 
@@ -506,9 +489,9 @@ func report(res *colsort.Result, wall time.Duration) {
 	fmt.Printf("wall clock: %v (simulated cluster in one process)\n", wall.Round(time.Millisecond))
 	if m := res.Merge; m != nil {
 		runs := fmt.Sprintf("%d runs × ≤%d records", m.Runs, m.RunRecords)
-		if m.Formation != "fixed-batch" && m.MaxRunRecords > 0 {
-			runs = fmt.Sprintf("%d %s runs of %d–%d records (%d descending)",
-				m.Runs, m.Formation, m.MinRunRecords, m.MaxRunRecords, m.DownRuns)
+		if m.MaxRunRecords > 0 {
+			runs = fmt.Sprintf("%d replacement-select runs of %d–%d records (%d descending)",
+				m.Runs, m.MinRunRecords, m.MaxRunRecords, m.DownRuns)
 		}
 		fmt.Printf("hierarchical: %s, %d merge level(s) at fan-in %d; merge moved %d MiB of run reads, %d MiB of spill+sink writes\n",
 			runs, m.Levels, m.FanIn, m.BytesRead>>20, m.BytesWritten>>20)
@@ -520,7 +503,7 @@ func report(res *colsort.Result, wall time.Duration) {
 	fmt.Printf("cpu:   %d M compare-units, %d MiB moved\n",
 		tot.CompareUnits>>20, tot.MovedBytes>>20)
 	if f := res.Faults; f.Any() {
-		fmt.Printf("faults: %d transient retried (%d gave up), %d corrupt chunks (%d healed by reread), %d batch redos\n",
+		fmt.Printf("faults: %d transient retried (%d gave up), %d corrupt chunks (%d healed by reread), %d run re-spills\n",
 			f.DiskRetries, f.DiskGiveUps, f.CorruptChunks, f.ChunkRereads, f.BatchRedos)
 	}
 

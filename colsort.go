@@ -91,7 +91,7 @@ var ErrCorruptOutput = errors.New("colsort: sorted output failed its CRC check o
 
 // ErrNoSpace marks a spill write that failed because the underlying device
 // is full (ENOSPC/EDQUOT). It is classified permanent in the fault
-// taxonomy: the job fails fast without burning retry or batch-redo budget,
+// taxonomy: the job fails fast without burning retry or redo budget,
 // since a full disk never heals by retrying the same write. Detect with
 // errors.Is.
 var ErrNoSpace = pdm.ErrNoSpace
@@ -202,11 +202,11 @@ type ChaosConfig struct {
 	PTorn float64
 	// Scripted faults, keyed by 1-based spill-disk ordinal (0 disables):
 	// TornSpillWrite tears that spill disk's first write (caught by the
-	// post-spill scrub, driving a batch redo); FlipSpillRead flips one bit
+	// post-spill scrub, driving a run re-spill); FlipSpillRead flips one bit
 	// of that spill disk's first read (caught by the merge's CRC check and
 	// healed by a reread); DeadSpillDisk permanently fails that spill disk
-	// once DeadSpillAfter bytes have been written to it (driving a batch
-	// redo onto a fresh disk).
+	// once DeadSpillAfter bytes have been written to it (driving a run
+	// re-spill onto a fresh disk).
 	TornSpillWrite int
 	FlipSpillRead  int
 	DeadSpillDisk  int
@@ -312,7 +312,7 @@ type Result struct {
 	// during this sort: all zero on a healthy run. Any non-zero field means
 	// the storage stack misbehaved and the sort recovered (the output is
 	// verified either way); DiskGiveUps > 0 means some transient faults
-	// exhausted the retry budget (the sort failed unless a batch redo
+	// exhausted the retry budget (the sort failed unless a run re-spill
 	// covered them). Under an engine the counters are job-scoped: faults of
 	// concurrent jobs never bleed into each other's reports.
 	Faults FaultStats
@@ -320,10 +320,10 @@ type Result struct {
 	// run-formation and merge statistics. Hierarchical results have a nil
 	// Output — the sorted records were streamed to the Sink, verified on
 	// the way — and their Plan describes ONE run of Merge.RunRecords
-	// records, not the whole input. PassCounters (and therefore Estimate /
-	// EstimateBeowulf) sum the engine passes of all run-formation batches
-	// only: the merge's own spill and sink traffic lives outside the cost
-	// model and is reported here in BytesRead/BytesWritten.
+	// records (the formation memory), not the whole input. PassCounters
+	// hold two synthetic passes, run formation then the merges (the merges
+	// only after a merge-phase resume); the byte traffic of the merges is
+	// also reported here in BytesRead/BytesWritten.
 	Merge *MergeStats
 }
 
@@ -336,7 +336,7 @@ type FaultStats struct {
 	DiskGiveUps   int64 `json:"disk_give_ups"`  // transient faults that exhausted the retry budget
 	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks and sorted-output segments that failed CRC32C verification
 	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks or segments healed by a reread
-	BatchRedos    int64 `json:"batch_redos"`    // run-formation batches re-sorted and re-spilled
+	BatchRedos    int64 `json:"batch_redos"`    // formed runs re-spilled from their retained copy
 }
 
 // Any reports whether any fault-tolerance machinery fired.
@@ -366,16 +366,14 @@ type MergeStats struct {
 	Runs       int   `json:"runs"`        // sorted runs formed
 	Levels     int   `json:"levels"`      // depth of the merge tree: the most merges any record passes through, the final merge into the Sink included
 	FanIn      int   `json:"fan_in"`      // maximum runs merged at once
-	RunRecords int64 `json:"run_records"` // records one run's memory budget holds (the single-run plan's N); fixed-batch runs are exactly this long, replacement selection averages ~2× it
+	RunRecords int64 `json:"run_records"` // the formation memory H in records (the single-run plan's N); every run but the last is at least this long, ~2× it on random input
 
 	BytesRead    int64 `json:"bytes_read"`    // bytes read back from spilled runs by the merges
 	BytesWritten int64 `json:"bytes_written"` // bytes written to run spills (formation and intermediate merges) plus streamed to the Sink
 
-	// Formation names the run-formation mode that produced the runs
-	// ("replacement-select" or "fixed-batch").
-	Formation string `json:"formation,omitempty"`
 	// DownRuns counts runs formed (and spilled) in descending order —
-	// replacement selection's "down" runs; always 0 under fixed batches.
+	// replacement selection's "down" runs, chosen when the arrivals run
+	// decisively downhill.
 	DownRuns int `json:"down_runs,omitempty"`
 	// MinRunRecords/MaxRunRecords bound the formed run lengths, making the
 	// data-dependence of replacement selection observable.
@@ -384,7 +382,7 @@ type MergeStats struct {
 	// ResumedRuns counts verified runs adopted from a persisted manifest by
 	// Engine.Resume instead of being re-sorted; always 0 on an
 	// uninterrupted sort. A merge-phase resume has ResumedRuns == Runs:
-	// zero batches were re-sorted.
+	// zero records were re-sorted.
 	ResumedRuns int `json:"resumed_runs,omitempty"`
 }
 
@@ -399,7 +397,8 @@ type ResultSummary struct {
 	// Records is the number of caller records sorted (padding excluded).
 	Records int64 `json:"records"`
 	// Plan is the human-readable execution plan. For hierarchical sorts it
-	// describes ONE run-formation batch; see Merge for the overall shape.
+	// describes the ONE run whose size is the formation memory; see Merge
+	// for the overall shape.
 	Plan string `json:"plan"`
 	// Merge is non-nil after a hierarchical (above-bound) sort.
 	Merge *MergeStats `json:"merge,omitempty"`

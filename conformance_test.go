@@ -33,7 +33,6 @@ type conformanceCase struct {
 	n      int64
 	regime string // "below" | "at" | "above"
 	file   bool   // file-backed scratch disks
-	form   RunFormation
 	gen    record.Generator
 }
 
@@ -62,12 +61,10 @@ func drawCase(rng *rand.Rand, s *Sorter, alg Algorithm, z int) conformanceCase {
 		c.ks.Order = Descending
 	}
 	c.file = rng.IntN(4) == 0 // file-backed is slower: sample it
-	// Both run-formation modes must produce byte-identical output, so the
-	// draw alternates them (the mode only matters in the "above" regime,
-	// where runs actually form).
-	if rng.IntN(2) == 1 {
-		c.form = FixedBatch
-	}
+	// One draw is spent and discarded here (it used to pick a run-formation
+	// mode), so the later draws, and with them every case's input, stay
+	// fixed for a given seed.
+	_ = rng.IntN(2)
 	gens := []record.Generator{
 		record.Uniform{Seed: rng.Uint64()},
 		record.Dup{Seed: rng.Uint64()},
@@ -121,7 +118,7 @@ func TestSortConformance(t *testing.T) {
 		if c.regime == "above" {
 			sawAbove = true
 		}
-		name := fmt.Sprintf("%02d-%v-z%d-%s-%v-%v", i, c.alg, c.z, c.regime, c.ks.Order, c.form)
+		name := fmt.Sprintf("%02d-%v-z%d-%s-%v-replacement-select", i, c.alg, c.z, c.regime, c.ks.Order)
 		if c.file {
 			name += "-file"
 		}
@@ -140,7 +137,7 @@ func TestSortConformance(t *testing.T) {
 			raw := genRaw(int(c.n), c.z, c.gen)
 			var out bytes.Buffer
 			res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-				WithAlgorithm(c.alg), WithKeySpec(c.ks), WithRunFormation(c.form))
+				WithAlgorithm(c.alg), WithKeySpec(c.ks))
 			if err != nil {
 				t.Fatalf("%+v: %v", c, err)
 			}

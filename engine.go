@@ -434,15 +434,15 @@ type EngineStats struct {
 	// Hierarchical run-formation accounting of every completed job that
 	// took the runs-plus-merge path: runs spilled (descending runs
 	// separately), records they held, and merge-tree depths summed. The
-	// run/record split exposes the average run length — the number that
-	// shows replacement selection earning its ~2× over fixed batches.
+	// run/record split exposes the average run length — about twice the
+	// formation memory on random input.
 	RunsFormed       int64 `json:"runs_formed,omitempty"`
 	DownRunsFormed   int64 `json:"down_runs_formed,omitempty"`
 	RunRecordsFormed int64 `json:"run_records_formed,omitempty"`
 	MergeLevelsRun   int64 `json:"merge_levels_run,omitempty"`
 	// JobsResumed counts jobs that completed via Engine.Resume from a
 	// persisted manifest; RunsResumed the verified runs those jobs adopted
-	// without re-sorting a single batch.
+	// without re-sorting a single record.
 	JobsResumed int64 `json:"jobs_resumed,omitempty"`
 	RunsResumed int64 `json:"runs_resumed,omitempty"`
 }

@@ -76,9 +76,9 @@ func main() {
 
 	fmt.Println("\n== beyond the bound: hierarchical runs + k-way merge ==")
 	// The bounds above are per RUN. Sorter.Sort is unbounded: an input
-	// larger than any single run is split into bounded runs (each a full
-	// columnsort on one persistent fabric) and streamed through a
-	// loser-tree merge into the Sink — here 4.3× the threaded bound of a
+	// larger than any single run is formed into sorted runs by replacement
+	// selection over one run's memory and streamed through a
+	// loser-tree merge into the Sink — here 4× the threaded bound of a
 	// deliberately tiny machine, verified in-stream.
 	tiny, err := colsort.New(colsort.Config{Procs: 4, MemPerProc: 1 << 10, RecordSize: 64})
 	if err != nil {
@@ -96,9 +96,9 @@ func main() {
 	m := hier.Merge
 	fmt.Printf("threaded bound on this machine: %d records (%s)\n",
 		bound, bounds.HumanBytes(float64(bound)*64))
-	fmt.Printf("sorted %d records = %.2f× the bound, as %d runs of ≤%d records\n",
+	fmt.Printf("sorted %d records = %.2f× the bound, as %d runs formed over a %d-record working set\n",
 		over, float64(over)/float64(bound), m.Runs, m.RunRecords)
 	fmt.Printf("merged in %d level(s) at fan-in %d; %s of run reads, %s of spill+sink writes\n",
 		m.Levels, m.FanIn, bounds.HumanBytes(float64(m.BytesRead)), bounds.HumanBytes(float64(m.BytesWritten)))
-	fmt.Println("every run verified before merging; merge order and multiset checked in-stream")
+	fmt.Println("every spilled run CRC-framed; merge order and multiset checked in-stream")
 }

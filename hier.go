@@ -2,13 +2,14 @@ package colsort
 
 // Hierarchical execution: the layer that takes Sort past any single
 // columnsort run's problem-size bound. When n exceeds what one run can hold
-// (the algorithm's restriction, or a WithMaxMemory cap), the source is
-// split into B maximal-size batches; each batch is sorted by the existing
-// engine on ONE persistent cluster fabric (warm buffer pools and pipeline
-// scratch across batches), verified, and spilled as a sorted run; and the
-// runs are combined by a loser-tree k-way merge with prefetch on the run
-// reads and write-behind on the merged output, streaming straight into the
-// Sink — no extra materialization pass. See DESIGN.md §7 for the contracts.
+// (the algorithm's restriction, or a WithMaxMemory cap), the source streams
+// through replacement selection over a working set of one run's memory H
+// (planRun: the largest run columnsort's relaxed bound admits), which
+// spills maximal sorted runs — never shorter than H, about 2H on random
+// input, one run on nearly-sorted input; and the runs are combined by a
+// loser-tree k-way merge with prefetch on the run reads and write-behind on
+// the merged output, streaming straight into the Sink — no extra
+// materialization pass. See DESIGN.md §7 for the contracts.
 
 import (
 	"cmp"
@@ -26,7 +27,6 @@ import (
 	"colsort/internal/record"
 	"colsort/internal/runform"
 	"colsort/internal/sim"
-	"colsort/internal/verify"
 )
 
 // defaultMergeFanIn is the runs-per-merge bound when WithMergeFanIn is not
@@ -34,9 +34,9 @@ import (
 // level, narrow enough that the read streams' prefetch buffers stay small.
 const defaultMergeFanIn = 16
 
-// defaultRedoBudget is how many batch redos a hierarchical sort may spend
+// defaultRedoBudget is how many run re-spills a hierarchical sort may spend
 // when RetryPolicy does not set one: enough to survive a failed spill disk
-// plus one unlucky verification, small enough that a systematically failing
+// plus one unlucky scrub, small enough that a systematically failing
 // storage stack still fails the sort promptly.
 const defaultRedoBudget = 2
 
@@ -58,11 +58,11 @@ func (e *Engine) wantHierarchical(o sortOptions, pl core.Plan, plErr error) (boo
 	return eligible && errors.Is(plErr, core.ErrTooLarge), nil
 }
 
-// planRun finds the run plan of a hierarchical sort — the batch sizing
-// rule: the largest power-of-two record count the algorithm can sort in ONE
-// run under the configuration and the WithMaxMemory cap. The last, partial
-// batch is padded up to this same shape (with maximal records, trimmed at
-// spill time), so every batch reuses one plan and one fabric.
+// planRun finds the run plan of a hierarchical sort: the largest
+// power-of-two record count the algorithm can sort in ONE run under the
+// configuration and the WithMaxMemory cap. Its N is the formation memory
+// H — the replacement-selection working set, and the job's admission
+// lease — so columnsort's relaxed bound decides how long the runs are.
 func (e *Engine) planRun(o sortOptions) (core.Plan, error) {
 	z := int64(e.cfg.RecordSize)
 	var best core.Plan
@@ -113,17 +113,17 @@ func (e *Engine) mergeChunkRecs(o sortOptions, fanIn int) int {
 }
 
 // PlanHierarchical reports how an above-bound Sort would execute n records
-// hierarchically: the single-run plan chosen by the batch sizing rule (the
-// largest plannable run, optionally capped at maxMemory bytes of records;
-// 0 means no cap) and the number of run-formation batches. It lets callers
-// and `colsort -plan` price an above-bound sort without running it.
+// hierarchically: the single-run plan whose record count is the formation
+// memory H (the largest plannable run, optionally capped at maxMemory bytes
+// of records; 0 means no cap) and batches = ⌈n/H⌉, the worst-case run
+// count. It lets callers and `colsort -plan` price an above-bound sort
+// without running it.
 //
-// batches is exact for WithRunFormation(FixedBatch). Under the default
-// replacement selection, run count is data-dependent — typically about
+// Replacement selection's run count is data-dependent — typically about
 // half of batches on random input, as low as 1 on nearly-sorted input —
-// and batches is its worst-case BOUND (render it as "≤ batches", the way
-// `colsort -plan` does), reached only when every arrival breaks the
-// current run.
+// and never above batches, because every run but the last holds at least
+// the H records resident when it started (render it as "≤ batches", the
+// way `colsort -plan` does).
 func (e *Engine) PlanHierarchical(alg Algorithm, n int64, maxMemory int64) (runPlan core.Plan, batches int, err error) {
 	if n < 1 {
 		return core.Plan{}, 0, fmt.Errorf("colsort: cannot sort %d records", n)
@@ -143,22 +143,18 @@ func (e *Engine) PlanHierarchical(alg Algorithm, n int64, maxMemory int64) (runP
 // validated the options, checked dst is non-nil, and chosen runPl; rd is
 // closed by Sort's defer.
 //
-// rs, when non-nil, is a crash-resume: the live runs a previous process
-// spilled and verified (reopened from the checkpoint manifest) are adopted
-// instead of re-formed. With rs.ingestDone the formation phase is skipped
-// entirely — zero records are re-sorted — and the merge restarts from the
-// durable run set; otherwise (fixed-batch formation) the source records the
-// durable runs cover are skipped (their multiset verified against the
-// manifest) and only the unfinished batches are formed. rd may be nil only
-// when rs.ingestDone.
+// rs, when non-nil, is a merge-phase crash-resume: every run a previous
+// process spilled and verified (reopened from the checkpoint manifest) is
+// adopted, formation is skipped entirely — zero records are re-sorted — and
+// the merge restarts from the durable run set. rd is unused (and may be
+// nil) then.
 func (j *job) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, rs *resumeState) (*Result, error) {
 	fanIn := o.fanIn
 	if fanIn == 0 {
 		fanIn = defaultMergeFanIn
 	}
 	chunk := j.e.mergeChunkRecs(o, fanIn)
-	nBatches := int((n + runPl.N - 1) / runPl.N)
-	stats := &MergeStats{FanIn: fanIn, RunRecords: runPl.N, Formation: o.formation.String()}
+	stats := &MergeStats{FanIn: fanIn, RunRecords: runPl.N}
 
 	// Durability: open (or, on resume, reopen for appending) the manifest
 	// WAL. Every ckpt call below is a nil-safe no-op for ordinary jobs.
@@ -180,32 +176,7 @@ func (j *job) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, o
 		}
 	}
 
-	// Recovery policy: how many whole batches may be re-sorted and
-	// re-spilled, and whether every spilled run gets a post-spill CRC
-	// readback. The scrub is always on under chaos injection (the only way
-	// a torn spill write is caught while its batch can still be redone) and
-	// opt-in otherwise — on healthy storage it costs one extra sequential
-	// read of every spilled byte to detect nothing.
-	redoBudget := defaultRedoBudget
-	scrub := j.m.Chaos != nil
-	if o.retry != nil {
-		if o.retry.RedoBudget != 0 {
-			redoBudget = o.retry.RedoBudget
-		}
-		if redoBudget < 0 {
-			redoBudget = 0
-		}
-		scrub = scrub || o.retry.Scrub
-	}
-
-	spillSeq := 0
-	newSpill := func() (pdm.Disk, error) {
-		d, err := j.m.NewSpillDisk(spillSeq)
-		spillSeq++
-		return d, err
-	}
-
-	live := make([]*merge.Run, 0, nBatches)
+	var live []*merge.Run
 	var ids []int // manifest ids parallel to live; populated only under checkpointing
 	defer func() {
 		for _, r := range live {
@@ -216,116 +187,14 @@ func (j *job) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, o
 	}()
 
 	var want record.Checksum
-	var passCnts [][]sim.Counters
-	resumed := false
 	if rs != nil {
-		live = append(live, rs.live...)
-		ids = append(ids, rs.ids...)
+		live, ids, want = rs.live, rs.ids, rs.want
 		rs.live = nil // this job owns them now
-		want = rs.want
 		stats.ResumedRuns = len(live)
-		resumed = rs.ingestDone
-	}
-	switch {
-	case rs != nil && rs.ingestDone:
-		// Merge-phase resume: every run is durable and verified; nothing is
-		// ingested or sorted in this process.
-	case o.formation == FixedBatch:
-		// Fixed-batch run formation: ingest one maximal batch at a time
-		// (the tail of the last batch padded with maximal records), sort it
-		// on the persistent fabric, verify it, and spill its real prefix —
-		// still in the codec's normalized key space, so the merge compares
-		// at native speed — as one sorted run.
-		br, err := core.NewBatchRunner(ctx, runPl, j.m)
-		if err != nil {
+	} else {
+		if err := j.formRuns(ctx, rd, o, codec, n, runPl, &live, &ids, chunk, stats, &want); err != nil {
 			return nil, err
 		}
-		defer br.Close()
-		remaining := n
-		startBatch := 0
-		if rs != nil {
-			// Formation-phase resume: the durable runs cover the source's
-			// first rs.consumed records. Skip them — verifying their multiset
-			// against the manifest's checksum, so a changed source cannot
-			// silently merge against the old runs — and form only the
-			// batches the crash interrupted.
-			if err := skipConsumed(ctx, rd, codec, j.e.cfg.RecordSize, rs.consumed, rs.want); err != nil {
-				return nil, err
-			}
-			remaining -= rs.consumed
-			startBatch = len(live)
-		}
-		for b := startBatch; b < nBatches; b++ {
-			real := remaining
-			if real > runPl.N {
-				real = runPl.N
-			}
-			remaining -= real
-			input, err := runPl.NewStore(j.m)
-			if err != nil {
-				return nil, err
-			}
-			cs, err := fillStore(ctx, input, rd, codec, real)
-			if err != nil {
-				input.Close()
-				return nil, err
-			}
-			want.Merge(cs)
-			var hooks core.Hooks
-			if o.progress != nil {
-				batch, total, fn := b+1, nBatches, o.progress
-				hooks.Progress = func(ev Progress) {
-					ev.Batch, ev.Batches = batch, total
-					fn(ev)
-				}
-			}
-			run, err := j.formRun(ctx, br, input, hooks, real, cs, newSpill, chunk,
-				scrub, redoBudget, &passCnts, b+1, nBatches)
-			input.Close()
-			if err != nil {
-				return nil, err
-			}
-			stats.BytesWritten += run.Bytes() // run-formation spill
-			if stats.MinRunRecords == 0 || real < stats.MinRunRecords {
-				stats.MinRunRecords = real
-			}
-			if real > stats.MaxRunRecords {
-				stats.MaxRunRecords = real
-			}
-			live = append(live, run)
-			// Durability point: the run's bytes reach stable storage before
-			// the manifest entry that claims them does.
-			if j.ckpt != nil {
-				if err := pdm.SyncDisk(run.Disk); err != nil {
-					return nil, err
-				}
-				id, err := j.ckpt.logRun(run, n-remaining, want)
-				if err != nil {
-					return nil, err
-				}
-				ids = append(ids, id)
-			}
-		}
-		br.Close() // run formation done: release the fabric before merging
-	default:
-		// Replacement selection: the former owns the run boundaries and the
-		// engine's fabric never runs — order comes from the former, and
-		// verification from the merge's in-stream order check plus the
-		// final multiset comparison against the ingest checksum.
-		//
-		// A formation-phase resume cannot reach here: replacement-selection
-		// runs do not cover a contiguous source prefix (the former's contents
-		// at the crash are unrecoverable), so Resume restarts RS formation
-		// from scratch and arrives with rs == nil.
-		if rs != nil {
-			return nil, fmt.Errorf("colsort: internal: formation-phase resume under replacement selection")
-		}
-		if err := j.formRunsReplacement(ctx, rd, o, codec, n, runPl, &live, &ids,
-			newSpill, chunk, scrub, redoBudget, stats, &want); err != nil {
-			return nil, err
-		}
-	}
-	if !resumed {
 		// Durability point: formation is complete and every run durable;
 		// after this entry a resume never re-sorts a single record.
 		if err := j.ckpt.logIngestDone(want); err != nil {
@@ -336,7 +205,7 @@ func (j *job) sortHierarchical(ctx context.Context, rd RecordReader, dst Sink, o
 	formSpill := stats.BytesWritten // formation-phase bytes, before any merge traffic
 	runs := live
 	live = nil // mergePhase owns the run set (and its close-on-error) now
-	return j.mergePhase(ctx, runs, ids, dst, o, codec, n, runPl, stats, want, passCnts, formSpill, nBatches, chunk, fanIn, resumed)
+	return j.mergePhase(ctx, runs, ids, dst, o, codec, n, runPl, stats, want, formSpill, chunk, fanIn, rs != nil)
 }
 
 // mergePlan is the merge schedule of a run set under a fan-in bound.
@@ -400,7 +269,7 @@ func mergeSchedule(sizes []int64, fanIn int) mergePlan {
 // checkpoint state is retired. ids maps live runs to their manifest ids
 // (parallel slice; nil when not checkpointing). resumed marks a merge-phase
 // resume, whose formation work happened in a previous process.
-func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst Sink, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, stats *MergeStats, want record.Checksum, passCnts [][]sim.Counters, formSpill int64, nBatches, chunk, fanIn int, resumed bool) (*Result, error) {
+func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst Sink, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, stats *MergeStats, want record.Checksum, formSpill int64, chunk, fanIn int, resumed bool) (*Result, error) {
 	defer func() {
 		for _, r := range live {
 			if r != nil {
@@ -422,10 +291,7 @@ func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst 
 	opt := merge.Options{ChunkRecs: chunk, Faults: &j.faults}
 	var mergedBase int64
 	if o.progress != nil {
-		batches, fn := nBatches, o.progress
-		if o.formation != FixedBatch {
-			batches = len(live)
-		}
+		batches, fn := len(live), o.progress
 		opt.Progress = func(merged int64) {
 			fn(Progress{Batches: batches, MergedRecords: mergedBase + merged, TotalRecords: plan.total})
 		}
@@ -524,43 +390,30 @@ func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst 
 		j.ckpt.complete()
 		j.ckpt = nil
 	}
-	if resumed {
-		// Only the merge ran in this process; account it as one synthetic
-		// pass so engine-wide counters reflect work actually performed here.
-		passCnts = [][]sim.Counters{
-			{{
-				CompareUnits:   (mergedBase + n) * int64(bits.Len64(uint64(fanIn))),
-				DiskReadBytes:  stats.BytesRead,
-				DiskReadOps:    int64(stats.Runs),
-				DiskWriteBytes: stats.BytesWritten,
-				DiskWriteOps:   int64(stats.Levels),
-				MovedBytes:     (mergedBase + n) * int64(runPl.Z),
-			}},
-		}
-	} else if o.formation != FixedBatch {
-		// The engine fabric never ran under replacement selection, so its
-		// real work — the selection tree and the merge trees — is accounted
-		// as two synthetic passes. Engine.Stats' cumulative counters (and
-		// the server's /metrics derived from them) stay meaningful under
-		// the default formation mode.
-		z := int64(runPl.Z)
-		mergeRecs := mergedBase + n // every record each merge emitted
-		passCnts = [][]sim.Counters{
-			{{
-				CompareUnits:   n * int64(bits.Len64(uint64(runPl.N))),
-				DiskWriteBytes: formSpill,
-				DiskWriteOps:   int64(stats.Runs),
-				MovedBytes:     2 * n * z, // arena fill + run emit
-			}},
-			{{
-				CompareUnits:   mergeRecs * int64(bits.Len64(uint64(fanIn))),
-				DiskReadBytes:  stats.BytesRead,
-				DiskReadOps:    int64(stats.Runs),
-				DiskWriteBytes: stats.BytesWritten - formSpill,
-				DiskWriteOps:   int64(stats.Levels),
-				MovedBytes:     mergeRecs * z,
-			}},
-		}
+	// The engine fabric never runs on this path, so the real work is
+	// accounted as synthetic passes — the selection tree, then the merge
+	// trees — and Engine.Stats' cumulative counters (and the server's
+	// /metrics derived from them) stay meaningful. A merge-phase resume
+	// performed no formation in this process and accounts the merge only.
+	z := int64(runPl.Z)
+	mergeRecs := mergedBase + n // every record each merge emitted
+	mergePass := []sim.Counters{{
+		CompareUnits:   mergeRecs * int64(bits.Len64(uint64(fanIn))),
+		DiskReadBytes:  stats.BytesRead,
+		DiskReadOps:    int64(stats.Runs),
+		DiskWriteBytes: stats.BytesWritten - formSpill,
+		DiskWriteOps:   int64(stats.Levels),
+		MovedBytes:     mergeRecs * z,
+	}}
+	passCnts := [][]sim.Counters{mergePass}
+	if !resumed {
+		formPass := []sim.Counters{{
+			CompareUnits:   n * int64(bits.Len64(uint64(runPl.N))),
+			DiskWriteBytes: formSpill,
+			DiskWriteOps:   int64(stats.Runs),
+			MovedBytes:     2 * n * z, // arena fill + run emit
+		}}
+		passCnts = [][]sim.Counters{formPass, mergePass}
 	}
 	return &Result{
 		Result: &core.Result{Plan: runPl, PassCounters: passCnts},
@@ -571,104 +424,51 @@ func (j *job) mergePhase(ctx context.Context, live []*merge.Run, ids []int, dst 
 	}, nil
 }
 
-// formRun turns one ingested batch into a verified, CRC-framed spilled run,
-// redoing the WHOLE batch — re-sort on the persistent fabric, re-verify,
-// re-spill onto a fresh spill disk — when the run cannot be trusted: the
-// sorted store fails verification (e.g. a bit flip on an input-store read),
-// the spill disk fails permanently mid-write, or the post-spill scrub finds
-// persistent corruption (a torn write). Each redo consumes one unit of
-// redoBudget; batch-level redo is what makes those failures survivable at
-// all, because the source stream that fed the batch is long gone — only the
-// batch's input store (preserved by br.Run across attempts) still holds the
-// records.
+// formRuns forms and spills maximal variable-length runs by tree-based
+// replacement selection, consuming the source stream directly: records are
+// encoded into normalized key space as they arrive, the former's arena
+// (runPl.N records — the formation memory H that planRun sizes, honest
+// against the job's admission lease) emits each run in its chosen
+// direction, and each run streams through the CRC-framing writer onto a
+// fresh spill disk, descending runs marked for the reversed merge reader.
+// Order comes from the former, and end-to-end verification from the
+// merge's in-stream order check plus the final multiset comparison against
+// the ingest checksum.
 //
-// An error from br.Run itself is terminal, not redone: a failed engine
-// batch poisons the fabric, and every later Run would return the fabric's
-// error anyway. Counters of every attempt accumulate into passCnts — redone
-// work is still work performed.
-func (j *job) formRun(ctx context.Context, br *core.BatchRunner, input *pdm.Store, hooks core.Hooks, real int64, cs record.Checksum, newSpill func() (pdm.Disk, error), chunk int, scrub bool, redoBudget int, passCnts *[][]sim.Counters, batch, batches int) (*merge.Run, error) {
-	for attempt := 0; ; attempt++ {
-		res, err := br.Run(input, hooks)
-		if err != nil {
-			return nil, err
-		}
-		if *passCnts == nil {
-			*passCnts = res.PassCounters
-		} else {
-			for k := range *passCnts {
-				for p := range (*passCnts)[k] {
-					(*passCnts)[k][p].Add(res.PassCounters[k][p])
-				}
-			}
-		}
-		run, ferr := func() (*merge.Run, error) {
-			// Verify BEFORE trusting the run to the merge: a failed batch
-			// must never contribute a plausible-looking run.
-			if err := verifyRunStore(res.Output, real, cs); err != nil {
-				return nil, fmt.Errorf("run %d of %d failed verification: %w", batch, batches, err)
-			}
-			r, err := spillRun(ctx, res.Output, real, newSpill, chunk)
-			if err != nil {
-				return nil, fmt.Errorf("run %d of %d: %w", batch, batches, err)
-			}
-			if scrub {
-				// Read the spilled bytes back against their CRC frames NOW,
-				// while the batch can still be redone — at merge time the
-				// input is gone and persistent spill corruption is fatal.
-				if err := r.Scrub(ctx, &j.faults); err != nil {
-					r.Close()
-					return nil, fmt.Errorf("run %d of %d: %w", batch, batches, err)
-				}
-			}
-			return r, nil
-		}()
-		res.Output.Close()
-		if ferr == nil {
-			return run, nil
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("colsort: %w", ferr)
-		}
-		if errors.Is(ferr, pdm.ErrNoSpace) {
-			// A full filesystem cannot be redone onto: every retry re-spills
-			// into the same exhausted space. Fail fast without burning the
-			// redo budget so the job's error names the real cause.
-			return nil, fmt.Errorf("colsort: %w", ferr)
-		}
-		if attempt >= redoBudget {
-			if redoBudget > 0 {
-				return nil, fmt.Errorf("colsort: redo budget (%d) exhausted: %w", redoBudget, ferr)
-			}
-			return nil, fmt.Errorf("colsort: %w", ferr)
-		}
-		j.faults.BatchRedos.Add(1)
-	}
-}
-
-// formRunsReplacement forms and spills maximal variable-length runs by
-// tree-based replacement selection, consuming the source stream directly:
-// records are encoded into normalized key space as they arrive, the
-// former's arena (runPl.N records — the same budget one fixed batch would
-// hold, honest against the job's admission lease) emits each run in its
-// chosen direction, and each run streams through the CRC-framing writer
-// onto a fresh spill disk, descending runs marked for the reversed merge
-// reader. The engine's batch fabric is never involved: order comes from
-// the former, and end-to-end verification from the merge's in-stream order
-// check plus the final multiset comparison against the ingest checksum.
-//
-// Recovery differs from fixed batches by necessity. A fixed batch redoes
-// itself from its preserved input store; here the source stream that fed a
-// run is consumed as the run forms. So when the scrub is armed and the
-// redo budget is positive, each run's emitted chunks are RETAINED in
-// pooled memory until its spill has been verified — a permanent spill
-// failure or a scrub-detected corruption re-spills the retained copy onto
-// a fresh disk (counted in BatchRedos, like a batch redo). Retention is
-// bounded at 2× the arena (the expected run length on random input): a run
-// reaching the bound is cut there, so redo memory stays within one extra
-// run-store's worth — the same peak the fixed-batch path reaches with its
-// input and output stores — at the cost of splitting longer-than-expected
+// Recovery: the source stream that fed a run is consumed as the run forms,
+// so when the scrub is armed and the redo budget is positive, each run's
+// emitted chunks are RETAINED in pooled memory until its spill has been
+// verified — a permanent spill failure or a scrub-detected corruption
+// re-spills the retained copy onto a fresh disk (counted in BatchRedos).
+// Retention is bounded at 2× the arena (the expected run length on random
+// input): a run reaching the bound is cut there, so redo memory stays
+// within two arenas' worth, at the cost of splitting longer-than-expected
 // runs while scrubbing.
-func (j *job) formRunsReplacement(ctx context.Context, rd RecordReader, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, live *[]*merge.Run, ids *[]int, newSpill func() (pdm.Disk, error), chunk int, scrub bool, redoBudget int, stats *MergeStats, want *record.Checksum) error {
+func (j *job) formRuns(ctx context.Context, rd RecordReader, o sortOptions, codec record.KeyCodec, n int64, runPl core.Plan, live *[]*merge.Run, ids *[]int, chunk int, stats *MergeStats, want *record.Checksum) error {
+	// Recovery policy: how many runs may be re-spilled, and whether every
+	// spilled run gets a post-spill CRC readback. The scrub is always on
+	// under chaos injection (the only way a torn spill write is caught
+	// while its run can still be re-spilled) and opt-in otherwise — on
+	// healthy storage it costs one extra sequential read of every spilled
+	// byte to detect nothing.
+	redoBudget := defaultRedoBudget
+	scrub := j.m.Chaos != nil
+	if o.retry != nil {
+		if o.retry.RedoBudget != 0 {
+			redoBudget = o.retry.RedoBudget
+		}
+		if redoBudget < 0 {
+			redoBudget = 0
+		}
+		scrub = scrub || o.retry.Scrub
+	}
+	spillSeq := 0
+	newSpill := func() (pdm.Disk, error) {
+		d, err := j.m.NewSpillDisk(spillSeq)
+		spillSeq++
+		return d, err
+	}
+
 	z := j.e.cfg.RecordSize
 	var pool *record.Pool
 	if len(j.m.Pools) > 0 {
@@ -700,6 +500,9 @@ func (j *job) formRunsReplacement(ctx context.Context, rd RecordReader, o sortOp
 	retain := scrub && redoBudget > 0
 	var formed int64
 	for runIdx := 1; ; runIdx++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		desc, ok, err := f.NextRun()
 		if err != nil {
 			return err
@@ -724,14 +527,14 @@ func (j *job) formRunsReplacement(ctx context.Context, rd RecordReader, o sortOp
 		}
 		*live = append(*live, run)
 		// Durability point: the run (already scrubbed when armed) is fsync'd
-		// before the manifest claims it. RS runs record no consumed-prefix
-		// position — a formation-phase crash restarts formation (DESIGN.md
-		// §13); a merge-phase crash resumes from these runs with no re-sort.
+		// before the manifest claims it. A formation-phase crash restarts
+		// formation (DESIGN.md §12); a merge-phase crash resumes from these
+		// runs with no re-sort.
 		if j.ckpt != nil {
 			if err := pdm.SyncDisk(run.Disk); err != nil {
 				return err
 			}
-			id, err := j.ckpt.logRun(run, 0, record.Checksum{})
+			id, err := j.ckpt.logRun(run)
 			if err != nil {
 				return err
 			}
@@ -757,7 +560,7 @@ func (j *job) formRunsReplacement(ctx context.Context, rd RecordReader, o sortOp
 // the only copy of those records), after which the whole run is re-spilled
 // onto fresh disks under the redo budget; a scrub failure re-spills the
 // same way. Without retention, any permanent spill or scrub failure is
-// terminal — exactly the fixed-batch contract with a zero redo budget.
+// terminal.
 func (j *job) spillFormedRun(ctx context.Context, f *runform.Former, desc bool, buf record.Slice, newSpill func() (pdm.Disk, error), chunk int, scrub, retain bool, retainCap int64, redoBudget int, pool *record.Pool, runIdx int, onChunk func(got int)) (*merge.Run, int64, error) {
 	var retained []record.Slice
 	defer func() {
@@ -847,8 +650,7 @@ func (j *job) spillFormedRun(ctx context.Context, f *runform.Former, desc bool, 
 }
 
 // respillRetained writes a formed run's retained chunks onto a fresh spill
-// disk and re-verifies it — the replacement-selection analogue of the
-// fixed-batch redo (which re-sorts from the preserved input store).
+// disk and re-verifies it.
 func respillRetained(ctx context.Context, retained []record.Slice, z int, desc bool, newSpill func() (pdm.Disk, error), chunk int, scrub bool, faults *pdm.FaultStats) (*merge.Run, error) {
 	d, err := newSpill()
 	if err != nil {
@@ -888,58 +690,4 @@ func (j *job) closeConsumedRun(r *merge.Run) {
 	if path != "" {
 		_ = os.Remove(path)
 	}
-}
-
-// skipConsumed advances rd past the source records a resumed job's durable
-// runs already cover, verifying their multiset against the checksum the
-// manifest recorded — a resume must refuse a source that differs from the
-// one the crashed job ingested, or the merged output would silently mix two
-// inputs.
-func skipConsumed(ctx context.Context, rd RecordReader, codec record.KeyCodec, z int, consumed int64, want record.Checksum) error {
-	var cs record.Checksum
-	rec := make([]byte, z)
-	for i := int64(0); i < consumed; i++ {
-		if i%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := rd.ReadRecord(rec); err != nil {
-			return fmt.Errorf("colsort: resume: re-reading consumed record %d of %d: %w", i, consumed, err)
-		}
-		codec.EncodeRecord(rec)
-		cs.Add(rec)
-	}
-	if !cs.Equal(want) {
-		return fmt.Errorf("colsort: resume: the source's first %d records do not match the multiset the manifest recorded; resuming requires the original input", consumed)
-	}
-	return nil
-}
-
-// verifyRunStore applies the engine's output verification to one run store
-// (prefix form when the batch was padded).
-func verifyRunStore(st *pdm.Store, real int64, cs record.Checksum) error {
-	_, err := verify.Sealed(st, real, cs, nil)
-	return err
-}
-
-// spillRun streams the sorted store's real prefix onto a fresh spill disk
-// as one run, prefetching each segment one step ahead (scanRealPrefix)
-// while the writer's chunks retire through any write-behind layer.
-func spillRun(ctx context.Context, st *pdm.Store, real int64, newSpill func() (pdm.Disk, error), chunk int) (*merge.Run, error) {
-	d, err := newSpill()
-	if err != nil {
-		return nil, err
-	}
-	w := merge.NewWriter(d, st.RecSize, chunk)
-	if err := scanRealPrefix(ctx, st, real, nil, nil, w.Append); err != nil {
-		d.Close()
-		return nil, err
-	}
-	run, err := w.Finish()
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	return run, nil
 }

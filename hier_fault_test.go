@@ -1,7 +1,7 @@
 package colsort
 
 // Fault-tolerance tests of the storage stack (DESIGN.md §9): transient
-// faults healed by retry, CRC-framed spill runs, batch-level recovery, and
+// faults healed by retry, CRC-framed spill runs, run re-spills, and
 // the seeded chaos harness driving them.
 //
 // The acceptance bar (ISSUE 6): a file-backed sort ≥3× the single-run bound
@@ -61,10 +61,9 @@ func TestChaosAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Spill ordinals under 4 formation batches: batch 1 spills to ordinal 1
-	// (torn → scrub fails → redo onto 2), batch 2 to 3 (dies mid-write →
-	// redo onto 4, whose first merge read is bit-flipped), batches 3-4 to
-	// 5-6.
+	// Spill ordinals of the three formed runs: run 1 spills to ordinal 1
+	// (torn → scrub fails → re-spill onto 2), run 2 to 3 (dies mid-write →
+	// re-spill onto 4, whose first merge read is bit-flipped), run 3 to 5.
 	s := chaosSorter(t, dir, z, &ChaosConfig{
 		Seed:           uint64(1),
 		PTransient:     0.01,
@@ -146,7 +145,7 @@ func TestChaosTransientsHealMidMerge(t *testing.T) {
 }
 
 // TestChaosBatchRedoAfterDeadSpillDisk kills the first spill disk almost
-// immediately: the batch must be re-spilled onto a fresh disk and the sort
+// immediately: the run must be re-spilled onto a fresh disk and the sort
 // must complete correctly, reporting the redo.
 func TestChaosBatchRedoAfterDeadSpillDisk(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -167,14 +166,14 @@ func TestChaosBatchRedoAfterDeadSpillDisk(t *testing.T) {
 	}
 	defer res.Close()
 	if res.Faults.BatchRedos == 0 {
-		t.Error("no batch redo recorded after the spill disk died")
+		t.Error("no run re-spill recorded after the spill disk died")
 	}
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
 		t.Error("output differs from the fault-free reference")
 	}
 }
 
-// TestChaosCorruptionNeverSilent disables batch redo and tears a spill
+// TestChaosCorruptionNeverSilent disables run re-spills and tears a spill
 // write: the sort MUST fail with the CRC sentinel — persistent corruption
 // must never flow into a plausible-looking output.
 func TestChaosCorruptionNeverSilent(t *testing.T) {

@@ -1,7 +1,7 @@
 package colsort
 
-// Tests of the hierarchical (above-bound) Sort path: run formation on a
-// persistent fabric, spilled sorted runs, and the streaming k-way merge.
+// Tests of the hierarchical (above-bound) Sort path: replacement-selection
+// run formation, spilled sorted runs, and the streaming k-way merge.
 //
 // The acceptance bar (ISSUE 4): a file-backed input at least 3× larger than
 // the largest single-run bound sorts via Sorter.Sort with output
@@ -60,6 +60,32 @@ func genRaw(n, z int, g record.Generator) []byte {
 	return raw
 }
 
+// staircase reorders raw into consecutive segments of the given record
+// counts, each ascending and each sorting entirely below the segment before
+// it. When every segment but the last holds at least the formation memory H
+// (MergeStats.RunRecords), replacement selection forms exactly one run per
+// segment: each arrival from the next segment sorts below the current run
+// and waits for the next one. Tests that need exact run counts and sizes
+// build their input with it.
+func staircase(t testing.TB, raw []byte, z int, sizes []int) []byte {
+	t.Helper()
+	sorted := refSortBytes(t, raw, z, KeySpec{})
+	total := 0
+	for _, s := range sizes {
+		total += s
+	}
+	if total*z != len(sorted) {
+		t.Fatalf("staircase segments hold %d records, the input %d", total, len(sorted)/z)
+	}
+	out := make([]byte, 0, len(sorted))
+	hi := total
+	for _, s := range sizes {
+		out = append(out, sorted[(hi-s)*z:hi*z]...)
+		hi -= s
+	}
+	return out
+}
+
 // TestHierarchicalFileBacked3x is the acceptance test: a file-backed input
 // more than 3× the largest single-run bound, sorted through FromFile/ToFile
 // under ascending and descending KeySpecs, byte-identical to the reference.
@@ -74,56 +100,47 @@ func TestHierarchicalFileBacked3x(t *testing.T) {
 	raw := genRaw(n, z, record.Uniform{Seed: 21})
 
 	for _, order := range []Order{Ascending, Descending} {
-		for _, form := range []RunFormation{FixedBatch, ReplacementSelect} {
-			order, form := order, form
-			t.Run(fmt.Sprintf("%v/%v", order, form), func(t *testing.T) {
-				dir := t.TempDir()
-				testutil.CheckLeaks(t, filepath.Join(dir, "scratch"))
-				in := filepath.Join(dir, "in.dat")
-				out := filepath.Join(dir, "out.dat")
-				if err := os.WriteFile(in, raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				fs, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z,
-					Dir: filepath.Join(dir, "scratch"), Async: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ks := KeySpec{Offset: 8, Width: 8, Order: order}
-				res, err := fs.Sort(context.Background(), FromFile(in), ToFile(out),
-					WithAlgorithm(Threaded), WithKeySpec(ks), WithRunFormation(form))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer res.Close()
-				if res.Merge == nil {
-					t.Fatal("above-bound sort did not take the hierarchical path")
-				}
-				if res.Merge.Formation != form.String() {
-					t.Errorf("Merge.Formation = %q, want %q", res.Merge.Formation, form)
-				}
-				// Fixed batches split at exactly RunRecords; replacement
-				// selection forms maximal runs, so the batch arithmetic is only
-				// an upper bound for it.
-				wantRuns := (int64(n) + res.Merge.RunRecords - 1) / res.Merge.RunRecords
-				if form == FixedBatch && int64(res.Merge.Runs) != wantRuns {
-					t.Errorf("formed %d runs, want %d (run size %d)", res.Merge.Runs, wantRuns, res.Merge.RunRecords)
-				}
-				if form == ReplacementSelect && int64(res.Merge.Runs) > wantRuns {
-					t.Errorf("replacement selection formed %d runs, more than the fixed-batch bound %d", res.Merge.Runs, wantRuns)
-				}
-				if res.RealRecords() != int64(n) {
-					t.Errorf("RealRecords = %d, want %d", res.RealRecords(), n)
-				}
-				got, err := os.ReadFile(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, refSortBytes(t, raw, z, ks)) {
-					t.Error("hierarchical output is not byte-identical to the reference sort")
-				}
-			})
-		}
+		order := order
+		t.Run(fmt.Sprintf("%v/replacement-select", order), func(t *testing.T) {
+			dir := t.TempDir()
+			testutil.CheckLeaks(t, filepath.Join(dir, "scratch"))
+			in := filepath.Join(dir, "in.dat")
+			out := filepath.Join(dir, "out.dat")
+			if err := os.WriteFile(in, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z,
+				Dir: filepath.Join(dir, "scratch"), Async: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks := KeySpec{Offset: 8, Width: 8, Order: order}
+			res, err := fs.Sort(context.Background(), FromFile(in), ToFile(out),
+				WithAlgorithm(Threaded), WithKeySpec(ks))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Close()
+			if res.Merge == nil {
+				t.Fatal("above-bound sort did not take the hierarchical path")
+			}
+			// Every run but the last holds at least RunRecords records, so
+			// ⌈n / RunRecords⌉ bounds the run count.
+			maxRuns := (int64(n) + res.Merge.RunRecords - 1) / res.Merge.RunRecords
+			if int64(res.Merge.Runs) > maxRuns {
+				t.Errorf("formed %d runs, more than the bound %d (run size %d)", res.Merge.Runs, maxRuns, res.Merge.RunRecords)
+			}
+			if res.RealRecords() != int64(n) {
+				t.Errorf("RealRecords = %d, want %d", res.RealRecords(), n)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, refSortBytes(t, raw, z, ks)) {
+				t.Error("hierarchical output is not byte-identical to the reference sort")
+			}
+		})
 	}
 }
 
@@ -173,7 +190,8 @@ func TestHierarchicalCancelMidMerge(t *testing.T) {
 }
 
 // TestHierarchicalFanInLevels forces a multi-level merge tree (fan-in 2
-// over 6+ runs) and checks the output still matches the reference exactly.
+// over 6 runs of duplicate-heavy records) and checks the output still
+// matches the reference exactly.
 func TestHierarchicalFanInLevels(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const p, mem, z = 4, 256, 16
@@ -182,20 +200,20 @@ func TestHierarchicalFanInLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := s.MaxRecords(Threaded)
-	n := int(6 * bound)
-	raw := genRaw(n, z, record.Zipf{Seed: 8})
+	sizes := []int{int(bound), int(bound), int(bound), int(bound), int(bound), int(bound)}
+	raw := staircase(t, genRaw(6*int(bound), z, record.Zipf{Seed: 8}), z, sizes)
 	var out bytes.Buffer
 	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-		WithAlgorithm(Threaded), WithMergeFanIn(2), WithRunFormation(FixedBatch))
+		WithAlgorithm(Threaded), WithMergeFanIn(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Close()
 	if res.Merge.Runs != 6 {
-		t.Errorf("formed %d runs, want 6", res.Merge.Runs)
+		t.Fatalf("formed %d runs from a 6-step staircase, want 6", res.Merge.Runs)
 	}
-	if res.Merge.Levels < 3 {
-		t.Errorf("merge tree has %d levels, want ≥ 3 with fan-in 2 over 6 runs", res.Merge.Levels)
+	if res.Merge.Levels != 3 {
+		t.Errorf("merge tree has %d levels, want 3 with fan-in 2 over 6 equal runs", res.Merge.Levels)
 	}
 	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
 		t.Error("multi-level merge output differs from the reference sort")
@@ -257,12 +275,12 @@ func TestMinimumVolumeMerge(t *testing.T) {
 	}
 	runN := int(s.MaxRecords(Threaded))
 	n := 4*runN + runN/2
-	raw := genRaw(n, z, record.Uniform{Seed: 21})
+	raw := staircase(t, genRaw(n, z, record.Uniform{Seed: 21}), z, []int{runN, runN, runN, runN, runN / 2})
 
 	var out bytes.Buffer
 	var last Progress
 	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-		WithMergeFanIn(4), WithRunFormation(FixedBatch),
+		WithMergeFanIn(4),
 		WithProgress(func(ev Progress) {
 			if ev.MergedRecords > 0 {
 				last = ev
@@ -286,7 +304,7 @@ func TestMinimumVolumeMerge(t *testing.T) {
 	}
 
 	var one bytes.Buffer
-	res1, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&one), WithRunFormation(FixedBatch))
+	res1, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&one))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,27 +335,24 @@ func TestWithMaxMemoryForcesRuns(t *testing.T) {
 		t.Fatalf("n=%d should be single-run plannable: %v", n, err)
 	}
 	raw := genRaw(n, z, record.Dup{Seed: 4})
-	want := refSortBytes(t, raw, z, KeySpec{})
-	for _, form := range []RunFormation{FixedBatch, ReplacementSelect} {
-		var out bytes.Buffer
-		res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-			WithAlgorithm(Threaded), WithMaxMemory(int64(n/4)*z), WithRunFormation(form))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Merge == nil {
-			t.Fatalf("%v: WithMaxMemory did not force run formation", form)
-		}
-		if form == FixedBatch && res.Merge.Runs != 4 {
-			t.Fatalf("%v: formed %d runs, want 4: %+v", form, res.Merge.Runs, res.Merge)
-		}
-		if form == ReplacementSelect && (res.Merge.Runs < 1 || res.Merge.Runs > 4) {
-			t.Fatalf("%v: formed %d runs, want 1..4: %+v", form, res.Merge.Runs, res.Merge)
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("%v: memory-capped output differs from the reference sort", form)
-		}
-		res.Close()
+	var out bytes.Buffer
+	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
+		WithAlgorithm(Threaded), WithMaxMemory(int64(n/4)*z))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if res.Merge == nil {
+		t.Fatal("WithMaxMemory did not force run formation")
+	}
+	if res.Merge.RunRecords != n/4 {
+		t.Errorf("formation memory %d records, want the cap's %d", res.Merge.RunRecords, n/4)
+	}
+	if res.Merge.Runs < 1 || res.Merge.Runs > 4 {
+		t.Fatalf("formed %d runs, want 1..4: %+v", res.Merge.Runs, res.Merge)
+	}
+	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
+		t.Error("memory-capped output differs from the reference sort")
 	}
 }
 
@@ -364,9 +379,10 @@ func TestHierarchicalRequiresSink(t *testing.T) {
 	}
 }
 
-// TestHierarchicalProgress pins the new progress families: engine events
-// tagged with Batch/Batches in order, then merge events with monotone
-// MergedRecords ending at n.
+// TestHierarchicalProgress pins the hierarchical progress families on an
+// input of exactly three runs: formation events tagged with Batch 1..3 in
+// order, then merge events tagged with Batches 3 whose MergedRecords climb
+// monotonically to n.
 func TestHierarchicalProgress(t *testing.T) {
 	const p, mem, z = 4, 256, 16
 	s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
@@ -375,31 +391,43 @@ func TestHierarchicalProgress(t *testing.T) {
 	}
 	bound := s.MaxRecords(Threaded)
 	n := 3 * bound
+	b := int(bound)
+	raw := staircase(t, genRaw(int(n), z, record.Uniform{Seed: 2}), z, []int{b, b, b})
 	var batchSeen []int
-	var merged []int64
-	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 2}, n), Discard(),
-		WithRunFormation(FixedBatch),
+	var formed, merged []int64
+	res, err := s.Sort(context.Background(), FromBytes(raw), Discard(),
 		WithProgress(func(ev Progress) {
 			if ev.Pass > 0 {
-				if ev.Batches != 3 {
-					t.Errorf("engine event with Batches = %d, want 3", ev.Batches)
-				}
+				t.Errorf("engine pass event %+v on the hierarchical path", ev)
+				return
+			}
+			if ev.TotalRecords != n {
+				t.Errorf("event TotalRecords = %d, want %d", ev.TotalRecords, n)
+			}
+			if ev.FormedRecords > 0 {
 				if len(batchSeen) == 0 || batchSeen[len(batchSeen)-1] != ev.Batch {
 					batchSeen = append(batchSeen, ev.Batch)
 				}
-			} else {
-				if ev.TotalRecords != n {
-					t.Errorf("merge event TotalRecords = %d, want %d", ev.TotalRecords, n)
-				}
-				merged = append(merged, ev.MergedRecords)
+				formed = append(formed, ev.FormedRecords)
+				return
 			}
+			if ev.Batches != 3 {
+				t.Errorf("merge event with Batches = %d, want 3", ev.Batches)
+			}
+			merged = append(merged, ev.MergedRecords)
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	if want := []int{1, 2, 3}; len(batchSeen) != 3 || batchSeen[0] != 1 || batchSeen[2] != 3 {
+	if res.Merge.Runs != 3 {
+		t.Fatalf("formed %d runs from a 3-step staircase, want 3", res.Merge.Runs)
+	}
+	if want := []int{1, 2, 3}; fmt.Sprint(batchSeen) != fmt.Sprint(want) {
 		t.Errorf("batch sequence %v, want %v", batchSeen, want)
+	}
+	if len(formed) == 0 || formed[len(formed)-1] != n {
+		t.Errorf("formation progress %v does not end at %d", formed, n)
 	}
 	if len(merged) == 0 || merged[len(merged)-1] != n {
 		t.Errorf("merge progress %v does not end at %d", merged, n)
@@ -412,7 +440,8 @@ func TestHierarchicalProgress(t *testing.T) {
 }
 
 // TestPlanHierarchical pins the planning API against what Sort actually
-// executes: same run plan, same batch count.
+// executes: the same run plan, and a batch count that bounds the runs
+// formed — reached exactly by an input of that many staircase steps.
 func TestPlanHierarchical(t *testing.T) {
 	const p, mem, z = 4, 256, 16
 	s, err := New(Config{Procs: p, MemPerProc: mem, RecordSize: z})
@@ -431,18 +460,19 @@ func TestPlanHierarchical(t *testing.T) {
 	if batches != 4 {
 		t.Errorf("planned %d batches, want 4", batches)
 	}
-	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 3}, n), Discard(),
-		WithRunFormation(FixedBatch))
+	b := int(bound)
+	raw := staircase(t, genRaw(int(n), z, record.Uniform{Seed: 3}), z, []int{b, b, b, 7})
+	res, err := s.Sort(context.Background(), FromBytes(raw), Discard())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Close()
 	if int64(res.Merge.Runs) != int64(batches) || res.Merge.RunRecords != runPl.N {
-		t.Errorf("Sort executed %d runs × %d, PlanHierarchical said %d × %d",
+		t.Errorf("Sort executed %d runs × %d, PlanHierarchical said ≤ %d × %d",
 			res.Merge.Runs, res.Merge.RunRecords, batches, runPl.N)
 	}
-	// Under the default replacement selection the planned batch count is a
-	// worst-case bound, not an exact prediction.
+	// On random input the planned batch count is a worst-case bound, not an
+	// exact prediction.
 	rs, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 3}, n), Discard())
 	if err != nil {
 		t.Fatal(err)
@@ -481,8 +511,8 @@ func TestHierarchicalOptionValidation(t *testing.T) {
 
 // TestReplacementSelectFewerRuns is the run-length acceptance test: on
 // uniform random input well above the bound, replacement selection must form
-// at most 0.6× the runs of fixed batching (theory says ~0.5×), with output
-// byte-identical between the two modes.
+// at most 0.6× the ⌈n/H⌉ runs of H-record batches (theory says ~0.5×), with
+// output byte-identical to the reference sort.
 func TestReplacementSelectFewerRuns(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const p, mem, z = 4, 256, 16
@@ -493,23 +523,20 @@ func TestReplacementSelectFewerRuns(t *testing.T) {
 	bound := s.MaxRecords(Threaded)
 	n := int(16*bound) + 123
 	raw := genRaw(n, z, record.Uniform{Seed: 17})
-	run := func(form RunFormation) (*MergeStats, []byte) {
-		var out bytes.Buffer
-		res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
-			WithAlgorithm(Threaded), WithRunFormation(form))
-		if err != nil {
-			t.Fatalf("%v: %v", form, err)
-		}
-		defer res.Close()
-		return res.Merge, out.Bytes()
+	var out bytes.Buffer
+	res, err := s.Sort(context.Background(), FromBytes(raw), ToWriter(&out),
+		WithAlgorithm(Threaded))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fb, fbOut := run(FixedBatch)
-	rs, rsOut := run(ReplacementSelect)
-	if !bytes.Equal(fbOut, rsOut) {
-		t.Error("the two formation modes produced different output bytes")
+	defer res.Close()
+	rs := res.Merge
+	if !bytes.Equal(out.Bytes(), refSortBytes(t, raw, z, KeySpec{})) {
+		t.Error("output differs from the reference sort")
 	}
-	if rs.Runs*10 > fb.Runs*6 {
-		t.Errorf("replacement selection formed %d runs vs %d fixed batches; want ≤ 0.6×", rs.Runs, fb.Runs)
+	batches := (int64(n) + rs.RunRecords - 1) / rs.RunRecords
+	if int64(rs.Runs)*10 > 6*batches {
+		t.Errorf("replacement selection formed %d runs vs %d H-record batches; want ≤ 0.6×", rs.Runs, batches)
 	}
 	if rs.MaxRunRecords <= rs.RunRecords {
 		t.Errorf("longest run is %d records, no longer than the %d-record working set", rs.MaxRunRecords, rs.RunRecords)
@@ -633,7 +660,7 @@ func TestMergeProgressMonotoneMultiLevel(t *testing.T) {
 	var merged []int64
 	var total int64
 	res, err := s.Sort(context.Background(), Generate(record.Uniform{Seed: 11}, n), Discard(),
-		WithAlgorithm(Threaded), WithMergeFanIn(2), WithRunFormation(FixedBatch),
+		WithAlgorithm(Threaded), WithMergeFanIn(2),
 		WithProgress(func(ev Progress) {
 			if ev.Pass == 0 && ev.MergedRecords > 0 {
 				if total == 0 {

@@ -46,11 +46,10 @@ func (res *Result) TotalCounters() sim.Counters {
 // rank 0 only (one processor's view; the passes are bulk-synchronous, so it
 // is representative).
 //
-// Hierarchical (above-bound) sorts add two event families on top: engine
-// events carry the run-formation batch they belong to in Batch/Batches
-// (both 0 for single-run sorts), and the final k-way merge emits events
-// with Pass == 0 whose MergedRecords/TotalRecords report the position of
-// the merged output stream.
+// Hierarchical (above-bound) sorts emit two other event families, both
+// with Pass == 0: run formation reports FormedRecords with Batch set to
+// the current run, and the k-way merges report MergedRecords against
+// TotalRecords with Batches set to the number of runs merged.
 // The JSON tags are the wire representation of the colsort-server's SSE
 // progress push; TestWireEncodingGolden (root package) pins them.
 type Progress struct {
@@ -59,8 +58,8 @@ type Progress struct {
 	Round  int `json:"round"`  // rounds completed by rank 0 within this pass
 	Rounds int `json:"rounds"` // rounds per processor per pass
 
-	Batch   int `json:"batch,omitempty"`   // 1-based run-formation batch/run (hierarchical sorts only)
-	Batches int `json:"batches,omitempty"` // total run-formation batches (hierarchical sorts only)
+	Batch   int `json:"batch,omitempty"`   // 1-based index of the run being formed (formation events)
+	Batches int `json:"batches,omitempty"` // runs being merged (merge events)
 
 	// FormedRecords reports replacement-selection run formation: records
 	// emitted into spilled runs so far (formation events have Pass == 0 and
@@ -124,7 +123,7 @@ func Run(ctx context.Context, pl Plan, m pdm.Machine, input Input, hooks Hooks) 
 	if pools == nil {
 		pools = record.NewPools(pl.P)
 	}
-	job := newPassJob(pl, input, hooks, len(passes), 0)
+	job := newPassJob(pl, input, hooks, len(passes))
 	err = cluster.RunCtxFabric(ctx, pl.P, fabricOf(m), func(pr *cluster.Proc) error {
 		return runPasses(ctx, pr, pl, m, passes, pools, passTagWindow(pl), job)
 	})
@@ -165,21 +164,18 @@ func checkRunInput(pl Plan, m pdm.Machine, in Input) error {
 }
 
 // passJob is the shared state of ONE engine execution on a cluster fabric:
-// the input, the store chain, the per-pass counters and the hooks. Run
-// executes a single job on a fresh fabric; a BatchRunner executes a stream
-// of jobs on a persistent one (the hierarchical sort's run-formation loop).
+// the input, the store chain, the per-pass counters and the hooks.
 type passJob struct {
 	input      Input
 	hooks      Hooks
-	tagBase    int          // start of this job's tag space on the shared fabric
 	stores     []*pdm.Store // stores[k+1] is pass k's output; stores[0] stays nil
 	cnts       [][]sim.Counters
 	storeErr   error
 	failedPass atomic.Int64
 }
 
-func newPassJob(pl Plan, input Input, hooks Hooks, nPasses, tagBase int) *passJob {
-	j := &passJob{input: input, hooks: hooks, tagBase: tagBase}
+func newPassJob(pl Plan, input Input, hooks Hooks, nPasses int) *passJob {
+	j := &passJob{input: input, hooks: hooks}
 	j.stores = make([]*pdm.Store, nPasses+1)
 	j.cnts = make([][]sim.Counters, nPasses)
 	for k := range j.cnts {
@@ -251,7 +247,7 @@ func runPasses(ctx context.Context, pr *cluster.Proc, pl Plan, m pdm.Machine, pa
 		if k > 0 {
 			in = job.stores[k]
 		}
-		if err := pass(pr, in, job.stores[k+1], job.tagBase+k*window, pools[pr.Rank()], &job.cnts[k][pr.Rank()], onRound); err != nil {
+		if err := pass(pr, in, job.stores[k+1], k*window, pools[pr.Rank()], &job.cnts[k][pr.Rank()], onRound); err != nil {
 			job.failedPass.CompareAndSwap(-1, int64(k))
 			return err
 		}

@@ -101,7 +101,7 @@ type FaultStats struct {
 	GaveUps       atomic.Int64 // transient ops that exhausted the retry budget
 	CorruptChunks atomic.Int64 // run chunks or output segments whose CRC32C failed verification
 	Rereads       atomic.Int64 // corrupt chunks or segments healed by a reread
-	BatchRedos    atomic.Int64 // hierarchical batches re-sorted/re-spilled
+	BatchRedos    atomic.Int64 // hierarchical runs re-spilled from their retained copy
 }
 
 // FaultCounts is a plain snapshot of FaultStats.

@@ -1,6 +1,6 @@
 package server
 
-// Tests of the server's durable-job layer (DESIGN.md §13): the jobs WAL's
+// Tests of the server's durable-job layer (DESIGN.md §12): the jobs WAL's
 // replay and compaction, boot-time re-adoption of interrupted file jobs —
 // both a queued job restarted from scratch and a mid-merge job resumed from
 // its checkpoint manifest — the orphan scratch sweep, and the wire mapping
@@ -248,6 +248,52 @@ func TestBootResumesMidMergeJob(t *testing.T) {
 	// Success retires the checkpoint directory.
 	if _, err := os.Stat(filepath.Join(ckpt, "manifest.wal")); !os.IsNotExist(err) {
 		t.Errorf("manifest survived the completed resume (stat err %v)", err)
+	}
+}
+
+// TestBootFailsJobWithRemovedOption boots over a jobs WAL whose queued
+// record persisted the run-formation option, which the wire no longer
+// accepts. The job must be re-adopted as FAILED under its id, with an error
+// naming the option — not dropped, and not run with the option ignored —
+// and the failure must be durable so the next boot does not retry it.
+func TestBootFailsJobWithRemovedOption(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	if err := os.MkdirAll(data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(data, "in.dat"), makeInput(4096, 78), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const id = "j000005"
+	wal, err := openJobsWAL(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.append(walRecord{ID: id, State: jobQueued, Input: "in.dat", Output: "out.dat",
+		Options: map[string]string{"run-formation": "replacement-select", "max-memory-mib": "4"}}); err != nil {
+		t.Fatal(err)
+	}
+	wal.close()
+
+	env := newEnv(t, colsort.EngineConfig{Config: testBase(filepath.Join(dir, "scratch"))},
+		Config{DataDir: data})
+	info := getJob(t, env, id)
+	if info.State != jobFailed {
+		t.Fatalf("job %s re-adopted in state %q, want %q", id, info.State, jobFailed)
+	}
+	if !strings.Contains(info.Error, id) || !strings.Contains(info.Error, `unknown option "run-formation"`) {
+		t.Errorf("error %q does not name the job and the removed option", info.Error)
+	}
+	if _, err := os.Stat(filepath.Join(data, "out.dat")); !os.IsNotExist(err) {
+		t.Errorf("the rejected job wrote its output (stat err %v)", err)
+	}
+	recs, err := replayJobsWAL(filepath.Join(data, serverStateDir, jobsWALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ID != id || recs[0].State != jobFailed {
+		t.Errorf("jobs WAL replays %+v, want %s recorded as failed", recs, id)
 	}
 }
 

@@ -152,7 +152,7 @@ func writeMetrics(w io.Writer, st colsort.EngineStats, draining bool, m *metrics
 		name, help string
 		v          int64
 	}{
-		{"colsort_merge_runs_formed_total", "Sorted runs spilled by hierarchical jobs (both formation modes).", st.RunsFormed},
+		{"colsort_merge_runs_formed_total", "Sorted runs spilled by hierarchical jobs (replacement-selection formation).", st.RunsFormed},
 		{"colsort_merge_down_runs_formed_total", "Descending runs formed by replacement selection.", st.DownRunsFormed},
 		{"colsort_merge_run_records_total", "Records that streamed through hierarchical run formation.", st.RunRecordsFormed},
 		{"colsort_merge_levels_total", "Merge-tree levels executed by hierarchical jobs.", st.MergeLevelsRun},
@@ -160,7 +160,7 @@ func writeMetrics(w io.Writer, st colsort.EngineStats, draining bool, m *metrics
 		counter(mc.name, mc.help, float64(mc.v))
 	}
 
-	// Durability: checkpoint/resume work saved and recovered (DESIGN.md §13).
+	// Durability: checkpoint/resume work saved and recovered (DESIGN.md §12).
 	counter("colsort_engine_jobs_resumed_total", "Jobs that adopted durable runs from a checkpoint manifest instead of re-sorting them.", float64(st.JobsResumed))
 	counter("colsort_engine_runs_resumed_total", "Durable spilled runs adopted by resumed jobs without re-sorting.", float64(st.RunsResumed))
 	counter("colsort_server_jobs_readopted_total", "Interrupted file jobs re-adopted from the jobs WAL at startup.", float64(readopted))
@@ -175,7 +175,7 @@ func writeMetrics(w io.Writer, st colsort.EngineStats, draining bool, m *metrics
 		{"colsort_faults_disk_give_ups_total", "Transient faults that exhausted the retry budget.", f.DiskGiveUps},
 		{"colsort_faults_corrupt_chunks_total", "Spill-run chunks and sorted-output segments that failed CRC32C verification.", f.CorruptChunks},
 		{"colsort_faults_chunk_rereads_total", "Corrupt chunks or segments healed by a reread.", f.ChunkRereads},
-		{"colsort_faults_batch_redos_total", "Run-formation batches re-sorted and re-spilled.", f.BatchRedos},
+		{"colsort_faults_batch_redos_total", "Formed runs re-spilled onto a fresh disk from their retained copy.", f.BatchRedos},
 	} {
 		counter(mc.name, mc.help, float64(mc.v))
 	}

@@ -30,7 +30,6 @@ var sortParams = map[string]struct{}{
 	"padding":           {},
 	"max-memory-mib":    {},
 	"merge-fanin":       {},
-	"run-formation":     {},
 	"fabric":            {},
 	"async":             {},
 	"nowait":            {},
@@ -222,13 +221,6 @@ func parseSortOptions(q url.Values, extra ...string) ([]colsort.Option, error) {
 			return nil, fmt.Errorf("option %q: must be ≥ 2", "merge-fanin")
 		}
 		opts = append(opts, colsort.WithMergeFanIn(int(v)))
-	}
-	if has("run-formation") {
-		f, ok := colsort.RunFormationByName(get["run-formation"])
-		if !ok {
-			return nil, fmt.Errorf("option %q: want \"replacement-select\" or \"fixed-batch\", got %q", "run-formation", get["run-formation"])
-		}
-		opts = append(opts, colsort.WithRunFormation(f))
 	}
 
 	// Machine overrides (tri-state: absent inherits the engine's Config).

@@ -306,13 +306,13 @@ func TestClientDisconnectCancelsSort(t *testing.T) {
 		n    int64
 		// A below-bound sort ingests its whole input before the first
 		// progress event, so a half-parked upload never leaves "queued";
-		// the hierarchical path has finished (and spilled) batch 1 by the
-		// half-way mark, so there we insist on observing "running".
+		// the hierarchical path is spilling its first run by the half-way
+		// mark, so there we insist on observing "running".
 		waitState string
 	}{
 		{"below-bound", 1000, jobQueued},
-		// 3× the bound with ~half uploaded: batch 1 has been sorted and
-		// spilled to scratch when the client vanishes.
+		// 3× the bound with ~half uploaded: the first run is spilling to
+		// scratch when the client vanishes.
 		{"above-bound", 3 * bound, jobRunning},
 	}
 	for i, tc := range cases {
@@ -359,8 +359,11 @@ func TestClientDisconnectCancelsSort(t *testing.T) {
 				time.Sleep(2 * time.Millisecond)
 			}
 
-			cancel()   // abort the HTTP request mid-stream
-			pw.Close() //nolint:errcheck // unblock any writer-side copy
+			cancel() // abort the HTTP request mid-stream
+			// Unblock any writer-side copy with an error, not EOF: an EOF
+			// would let the transport finish a short body, which the server
+			// may answer with 400 before the client observes the cancel.
+			pw.CloseWithError(context.Canceled) //nolint:errcheck
 
 			select {
 			case err := <-errCh:

@@ -57,7 +57,7 @@ type Counters struct {
 	DiskGiveUps   int64 `json:"disk_give_ups"`  // transient faults that exhausted the retry budget
 	CorruptChunks int64 `json:"corrupt_chunks"` // spill-run chunks and output segments failing CRC32C verification
 	ChunkRereads  int64 `json:"chunk_rereads"`  // corrupt chunks or segments healed by a reread
-	BatchRedos    int64 `json:"batch_redos"`    // hierarchical batches re-sorted/re-spilled
+	BatchRedos    int64 `json:"batch_redos"`    // hierarchical runs re-spilled from their retained copy
 }
 
 // Add accumulates o into c.

@@ -6,11 +6,10 @@ package colsort
 // point:
 //
 //	begin        the resolved job parameters (n, record size, run plan,
-//	             fan-in, formation, key spec, caps) — written once, first
+//	             fan-in, key spec, caps) — written once, first
 //	run          one verified spilled run: its file path, record count,
-//	             direction and CRC32C sidecar, plus (fixed-batch formation)
-//	             the cumulative source records consumed and their multiset
-//	             checksum — appended only AFTER the run's bytes are fsync'd
+//	             direction and CRC32C sidecar — appended only AFTER the
+//	             run's bytes are fsync'd
 //	ingest_done  run formation complete; carries the full ingest multiset
 //	             checksum the final merge must reproduce
 //	merged       one intermediate merge: the output run (same fields as
@@ -23,7 +22,7 @@ package colsort
 // and "merged" output not consumed by a later "merged" entry. A torn final
 // line — the crash hit mid-append — is ignored: the entry's durability
 // point was not reached, so whatever it described is redone or swept as an
-// orphan. See DESIGN.md §13 for the full durability contract.
+// orphan. See DESIGN.md §12 for the full durability contract.
 
 import (
 	"bufio"
@@ -65,7 +64,6 @@ type manifestEntry struct {
 	RecordSize int      `json:"record_size,omitempty"`
 	RunRecords int64    `json:"run_records,omitempty"`
 	FanIn      int      `json:"fan_in,omitempty"`
-	Formation  string   `json:"formation,omitempty"`
 	Alg        int      `json:"alg,omitempty"`
 	AlgName    string   `json:"alg_name,omitempty"` // display only; Alg is parsed
 	KeySpec    *KeySpec `json:"key_spec,omitempty"`
@@ -73,11 +71,7 @@ type manifestEntry struct {
 
 	// run and merged
 	Run *manifestRun `json:"run,omitempty"`
-	// run (fixed-batch formation): cumulative source records consumed once
-	// this run was durable, and their multiset checksum — what a
-	// formation-phase resume skips and verifies.
-	Consumed int64 `json:"consumed,omitempty"`
-	// run (cumulative), ingest_done (final): the ingest multiset checksum.
+	// ingest_done: the ingest multiset checksum.
 	Want *record.Checksum `json:"want,omitempty"`
 	// merged: ids of the input runs the output consumed.
 	Inputs []int `json:"inputs,omitempty"`
@@ -136,7 +130,6 @@ func (l *manifestLog) logBegin(o sortOptions, recordSize int, n, runRecords int6
 		RecordSize: recordSize,
 		RunRecords: runRecords,
 		FanIn:      fanIn,
-		Formation:  o.formation.String(),
 		Alg:        int(o.alg),
 		AlgName:    o.alg.String(),
 		MaxMemory:  o.maxMemory,
@@ -163,21 +156,13 @@ func describeRun(id int, r *merge.Run) *manifestRun {
 }
 
 // logRun records one verified formation run, returning its manifest id.
-// consumed/want carry the fixed-batch cumulative ingest position; zero
-// values under replacement selection (whose runs don't cover a source
-// prefix — see DESIGN.md §13).
-func (l *manifestLog) logRun(r *merge.Run, consumed int64, want record.Checksum) (int, error) {
+func (l *manifestLog) logRun(r *merge.Run) (int, error) {
 	if l == nil {
 		return 0, nil
 	}
 	l.runSeq++
 	id := l.runSeq
-	e := manifestEntry{Type: "run", Run: describeRun(id, r), Consumed: consumed}
-	if consumed > 0 {
-		w := want
-		e.Want = &w
-	}
-	return id, l.append(e)
+	return id, l.append(manifestEntry{Type: "run", Run: describeRun(id, r)})
 }
 
 // logIngestDone marks run formation complete with the full ingest checksum.
@@ -235,18 +220,17 @@ func (l *manifestLog) close() {
 type manifestState struct {
 	begin      manifestEntry
 	live       []*manifestRun // runs not consumed by a later merged entry, log order
-	consumed   int64          // fixed-batch: source records covered by durable runs
-	cumWant    record.Checksum
 	ingestDone bool
 	finalWant  record.Checksum
 	done       bool
 	maxID      int
-	runsLogged int // formation runs recorded (durable batches)
 }
 
 // readManifest replays the WAL at dir. A torn final line is ignored; any
 // earlier malformed line fails the replay (the file is corrupt, not merely
-// truncated by a crash).
+// truncated by a crash). Fields this version no longer writes — an older
+// manifest's begin "formation" and run "consumed"/"want" — are unknown to
+// manifestEntry and ignored by encoding/json, so such a manifest replays.
 func readManifest(dir string) (*manifestState, error) {
 	f, err := os.Open(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -292,13 +276,6 @@ func readManifest(dir string) (*manifestState, error) {
 			order = append(order, e.Run.ID)
 			if e.Run.ID > st.maxID {
 				st.maxID = e.Run.ID
-			}
-			st.runsLogged++
-			if e.Consumed > 0 {
-				st.consumed = e.Consumed
-				if e.Want != nil {
-					st.cumWant = *e.Want
-				}
 			}
 		case "ingest_done":
 			st.ingestDone = true

@@ -79,16 +79,17 @@ type RetryPolicy struct {
 	// jitter. Cancelling the sort's context interrupts any backoff sleep.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// RedoBudget is how many times a hierarchical run-formation batch may
-	// be re-sorted and re-spilled onto a fresh disk after its spilled run
-	// fails verification or its spill disk fails permanently (default 2).
-	// Negative disables batch redo entirely.
+	// RedoBudget is how many times a hierarchical sort may re-spill a
+	// formed run onto a fresh disk from its in-memory copy after the spill
+	// disk fails permanently or the scrub finds the spilled bytes corrupt
+	// (default 2). Runs are retained for re-spill only while scrubbing
+	// (Scrub, or any chaos injection). Negative disables re-spills.
 	RedoBudget int
 	// Scrub forces the post-spill CRC readback of every run even when no
 	// chaos injection is configured (under chaos it is always on). It
 	// catches persistent write-path corruption — a torn write, bit rot —
-	// while the batch that produced the run can still be redone, at the
-	// cost of one extra sequential read of every spilled byte.
+	// while the run's retained copy can still be re-spilled, at the cost of
+	// one extra sequential read of every spilled byte.
 	Scrub bool
 }
 
@@ -102,9 +103,8 @@ type sortOptions struct {
 	keySpec    KeySpec
 	padding    PaddingPolicy
 	progress   func(Progress)
-	maxMemory  int64        // bytes one run may hold; 0 = only the algorithm's bound
-	fanIn      int          // merge fan-in; 0 = defaultMergeFanIn
-	formation  RunFormation // hierarchical run formation; zero value ReplacementSelect
+	maxMemory  int64 // bytes one run may hold; 0 = only the algorithm's bound
+	fanIn      int   // merge fan-in; 0 = defaultMergeFanIn
 	fabric     Fabric
 	retry      *RetryPolicy
 	noWait     bool          // fail with ErrBusy instead of queueing for admission
@@ -160,9 +160,9 @@ func WithPadding(p PaddingPolicy) Option {
 // WithMaxMemory caps, in bytes, the records one columnsort run may hold.
 // A sort whose input exceeds the cap — or the selected algorithm's own
 // problem-size bound — transparently takes the hierarchical path: the
-// input is split into maximal bounded runs, each sorted by the engine on
-// one persistent cluster fabric, and the sorted runs are streamed through
-// a loser-tree k-way merge into the Sink (see WithMergeFanIn). 0 (the
+// input streams through replacement selection over a working set of one
+// such run, which spills maximal sorted runs, and the runs are streamed
+// through a loser-tree k-way merge into the Sink (see WithMergeFanIn). 0 (the
 // default) leaves only the algorithm's bound in force. The hierarchical
 // path requires PadAuto, a non-hybrid algorithm, and a non-nil Sink.
 func WithMaxMemory(bytes int64) Option {
@@ -179,50 +179,6 @@ func WithMergeFanIn(k int) Option {
 	return func(o *sortOptions) { o.fanIn = k }
 }
 
-// RunFormation selects how the hierarchical path cuts the input stream
-// into sorted runs before the k-way merge.
-type RunFormation int
-
-const (
-	// ReplacementSelect (the default) forms maximal variable-length runs by
-	// replacement selection on a loser tree: runs average ~2× the memory cap on
-	// random input and collapse to a single run on sorted or nearly-sorted
-	// input (ascending or descending — "down" runs are spilled descending
-	// and merged through a reversed reader). Run count becomes
-	// data-dependent; the fixed-batch arithmetic is its worst-case bound.
-	ReplacementSelect RunFormation = iota
-	// FixedBatch spills one run per memory-cap-sized batch, each sorted by
-	// a full engine execution — the PR 4 behaviour, kept as the exactly
-	// predictable equivalence baseline.
-	FixedBatch
-)
-
-// String returns the CLI/wire name of the formation mode.
-func (f RunFormation) String() string {
-	if f == FixedBatch {
-		return "fixed-batch"
-	}
-	return "replacement-select"
-}
-
-// RunFormationByName parses the CLI/wire name of a formation mode.
-func RunFormationByName(name string) (RunFormation, bool) {
-	switch name {
-	case "replacement-select", "replacement-selection", "rs":
-		return ReplacementSelect, true
-	case "fixed-batch", "fixed":
-		return FixedBatch, true
-	}
-	return 0, false
-}
-
-// WithRunFormation selects the hierarchical run-formation strategy
-// (default ReplacementSelect). It has no effect on sorts that fit a single
-// run. See RunFormation for the trade-off.
-func WithRunFormation(f RunFormation) Option {
-	return func(o *sortOptions) { o.formation = f }
-}
-
 // WithFabric selects the cluster interconnect mode for this sort (default
 // FabricZeroCopy). FabricCopying is the MPI-fidelity simulation: every
 // message payload is physically copied at send time, as it would be on a
@@ -237,8 +193,8 @@ func WithFabric(f Fabric) Option {
 // Sort already runs with the default policy — transient disk faults are
 // retried under bounded exponential backoff with jitter, every escaping
 // disk error carries operation/disk/offset context, spilled runs are
-// CRC32C-framed, and a hierarchical batch whose run fails verification is
-// re-sorted and re-spilled within the redo budget — so WithRetry exists to
+// CRC32C-framed, and under chaos injection a hierarchical run whose spill
+// fails is re-spilled within the redo budget — so WithRetry exists to
 // tune the budgets (or, with MaxAttempts 1 and a negative RedoBudget, to
 // fail fast). Retries and redos are visible in Result.Faults and the
 // fault-tolerance fields of Result.TotalCounters.
@@ -287,7 +243,7 @@ func WithChaos(c *ChaosConfig) Option {
 // belongs to ONE job: it is created if missing, must not be shared between
 // concurrent jobs, and is removed when the sort completes. Sorts that fit a
 // single run ignore the option (there is nothing spilled to checkpoint).
-// See DESIGN.md §13 for the durability contract.
+// See DESIGN.md §12 for the durability contract.
 func WithCheckpoint(dir string) Option {
 	return func(o *sortOptions) { o.checkpoint = dir }
 }

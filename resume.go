@@ -1,16 +1,14 @@
 package colsort
 
 // Crash recovery: Engine.Resume picks a checkpointed hierarchical sort back
-// up from its persisted run manifest (see manifest.go and DESIGN.md §13).
+// up from its persisted run manifest (see manifest.go and DESIGN.md §12).
 // The durable spilled runs are reopened and verified structurally — record
 // counts, CRC sidecars, frame geometry all come from the manifest — and the
 // sort continues from the last durability point instead of starting over:
 // a crash during the merge phase re-merges without re-sorting a single
-// batch; a crash during fixed-batch formation redoes only the batches the
-// crash interrupted; a crash during replacement-selection formation
-// restarts formation (the former's working set died with the process —
-// its runs do not cover a contiguous source prefix, so there is no point to
-// skip to).
+// record; a crash during run formation restarts formation (the former's
+// working set died with the process — its runs do not cover a contiguous
+// source prefix, so there is no point to skip to).
 
 import (
 	"context"
@@ -23,15 +21,14 @@ import (
 	"colsort/internal/record"
 )
 
-// resumeState is what a manifest replay hands sortHierarchical: the reopened
-// live runs, their manifest ids, and where formation stood at the crash.
+// resumeState is what a merge-phase manifest replay hands
+// sortHierarchical: the reopened live runs, their manifest ids, and the
+// ingest checksum the final merge must reproduce.
 type resumeState struct {
-	live       []*merge.Run
-	ids        []int           // manifest ids parallel to live
-	want       record.Checksum // finalWant when ingestDone, else the cumulative fixed-batch checksum
-	consumed   int64           // fixed-batch: source records the durable runs cover
-	ingestDone bool
-	maxID      int // highest manifest id issued; seeds the resumed WAL's sequence
+	live  []*merge.Run
+	ids   []int // manifest ids parallel to live
+	want  record.Checksum
+	maxID int // highest manifest id issued; seeds the resumed WAL's sequence
 }
 
 // Resume continues a checkpointed sort from the manifest at manifestDir —
@@ -42,15 +39,11 @@ type resumeState struct {
 //
 // src must be the SAME input the original job was reading. It may be nil
 // only when the crash hit the merge phase (the manifest records ingest as
-// complete): then no source record is read at all. For a crash during
-// fixed-batch formation, Resume re-reads the consumed prefix to position the
-// stream — verifying its multiset against the manifest, so a changed source
-// is refused rather than silently merged against stale runs. A crash during
-// replacement-selection formation restarts formation from the beginning
-// (still under the same checkpoint, so the restarted job is itself
-// resumable).
+// complete): then no source record is read at all. A crash during run
+// formation restarts formation from the beginning (still under the same
+// checkpoint, so the restarted job is itself resumable).
 //
-// The job's parameters — algorithm, key spec, formation, fan-in, memory cap
+// The job's parameters — algorithm, key spec, fan-in, memory cap
 // — come from the manifest, not from opts: they are part of the durable
 // state, and changing them mid-job cannot produce the original job's output.
 // Options that do not shape the data (WithProgress, WithRetry, WithDeadline,
@@ -91,11 +84,6 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 	} else {
 		o.keySpec = KeySpec{}
 	}
-	form, ok := RunFormationByName(st.begin.Formation)
-	if !ok {
-		return nil, fmt.Errorf("colsort: manifest at %s records unknown formation %q", manifestDir, st.begin.Formation)
-	}
-	o.formation = form
 	if st.begin.RecordSize != e.cfg.RecordSize {
 		return nil, fmt.Errorf("colsort: manifest at %s was written for %d-byte records but the engine is configured for %d-byte records", manifestDir, st.begin.RecordSize, e.cfg.RecordSize)
 	}
@@ -121,18 +109,17 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 		defer cancel()
 	}
 
-	// A crash during replacement-selection formation is not skippable (see
-	// the Resume doc comment): discard the partial state and restart
-	// formation from record zero, still checkpointed.
-	rsRestart := !st.ingestDone && o.formation != FixedBatch
-	if rsRestart {
+	// A crash during formation is not skippable (see the Resume doc
+	// comment): discard the partial state and restart formation from
+	// record zero, still checkpointed.
+	if !st.ingestDone {
 		st.live = nil
 	}
 
 	// Sweep the orphans first: the half-written spill the crash interrupted,
 	// and consumed merge inputs whose removal did not complete.
 	swept := sweepOrphanRuns(manifestDir, st.live)
-	if rsRestart {
+	if !st.ingestDone {
 		_ = os.Remove(filepath.Join(manifestDir, manifestName))
 	}
 
@@ -149,7 +136,7 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 		}
 		rd = r
 	} else if !st.ingestDone {
-		return nil, fmt.Errorf("colsort: the manifest at %s has unfinished run formation; Resume needs the original Source to form the remaining runs", manifestDir)
+		return nil, fmt.Errorf("colsort: the manifest at %s has unfinished run formation; Resume needs the original Source to restart it", manifestDir)
 	}
 
 	ask := runPl.N * int64(runPl.Z)
@@ -164,17 +151,8 @@ func (e *Engine) Resume(ctx context.Context, manifestDir string, src Source, dst
 
 	j := e.newJob(ctx, o)
 	var rs *resumeState
-	if !rsRestart {
-		rs = &resumeState{
-			consumed:   st.consumed,
-			ingestDone: st.ingestDone,
-			maxID:      st.maxID,
-		}
-		if st.ingestDone {
-			rs.want = st.finalWant
-		} else {
-			rs.want = st.cumWant
-		}
+	if st.ingestDone {
+		rs = &resumeState{want: st.finalWant, maxID: st.maxID}
 		if rs.live, rs.ids, err = reopenRuns(j.m, st.live, e.cfg.RecordSize); err != nil {
 			return nil, err
 		}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Crash/resume end-to-end (DESIGN.md §13): SIGKILL colsort-server in the
+# Crash/resume end-to-end (DESIGN.md §12): SIGKILL colsort-server in the
 # middle of a checkpointed hierarchical file job — once mid-merge, once
 # mid-run-formation — restart it over the same -data and scratch
 # directories, and require the re-adopted job to finish under its original
@@ -8,9 +8,10 @@
 # The metrics surface proves HOW it finished:
 #   - merge-phase kill:   colsort_engine_runs_resumed_total equals
 #     colsort_merge_runs_formed_total — every run was adopted from the
-#     manifest, zero batches re-sorted;
-#   - formation kill:     0 < runs_resumed < runs_formed — the durable
-#     prefix was adopted, only the remaining batches were formed;
+#     manifest, zero records re-sorted;
+#   - formation kill:     runs_resumed is 0 and runs_formed ≥ 2 — the
+#     replacement-selection working set died with the process, so the
+#     re-adopted job restarted formation and formed every run again;
 #   - both:               colsort_server_jobs_readopted_total 1, and the
 #     orphan scratch sweep counter is exposed.
 #
@@ -61,12 +62,13 @@ sigkill_server() {
   SERVER_PID=""
 }
 
-# submit OUTPUT FORMATION -> job id. max-memory-mib=4 forces the 32 MiB
-# input through the hierarchical path as ~8 bounded runs + k-way merge
-# (4 MiB = 65536 records is the smallest plannable run at this shape).
+# submit OUTPUT -> job id. max-memory-mib=4 forces the 32 MiB input through
+# the hierarchical path as ~4 replacement-selection runs (about 2 × 4 MiB
+# each; 4 MiB = 65536 records is the smallest plannable run at this shape)
+# + k-way merge.
 submit() {
   curl -sf -X POST "$URL/v1/jobs" -H 'Content-Type: application/json' \
-    -d "{\"input\":\"input.dat\",\"output\":\"$1\",\"options\":{\"max-memory-mib\":\"4\",\"run-formation\":\"$2\"}}" \
+    -d "{\"input\":\"input.dat\",\"output\":\"$1\",\"options\":{\"max-memory-mib\":\"4\"}}" \
     | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'
 }
 
@@ -121,9 +123,9 @@ dd if=/dev/urandom of="$DIR/data/input.dat" bs=64 count="$RECORDS" status=none
   -p 4 -mem 16384 -z 64 -dir "$DIR/scratch" -async \
   || fail "local reference sort"
 
-# ---- Scenario 1: SIGKILL mid-merge (replacement-selection formation) ----
+# ---- Scenario 1: SIGKILL mid-merge ----
 start_server
-id1=$(submit out-merge.dat replacement-select)
+id1=$(submit out-merge.dat)
 [ -n "$id1" ] || fail "scenario 1: job submission returned no id"
 # ingest_done in the manifest marks formation durably complete: from here
 # until the job finishes, the process is mid-merge.
@@ -143,16 +145,19 @@ resumed=$(metric colsort_engine_runs_resumed_total "$DIR/metrics1.txt")
 formed=$(metric colsort_merge_runs_formed_total "$DIR/metrics1.txt")
 [ "$resumed" -ge 2 ] || fail "scenario 1: only $resumed runs resumed"
 [ "$resumed" -eq "$formed" ] \
-  || fail "scenario 1: $formed total runs but only $resumed adopted — batches were re-sorted after a merge-phase crash"
+  || fail "scenario 1: $formed total runs but only $resumed adopted — runs were re-formed after a merge-phase crash"
 metric colsort_orphan_scratch_cleaned_total "$DIR/metrics1.txt" >/dev/null
 echo "scenario 1 (mid-merge kill): resumed $resumed/$formed runs, zero re-sorts, output byte-identical"
 
-# ---- Scenario 2: SIGKILL mid-formation (fixed-batch) ----
-id2=$(submit out-form.dat fixed-batch)
+# ---- Scenario 2: SIGKILL mid-formation ----
+id2=$(submit out-form.dat)
 [ -n "$id2" ] || fail "scenario 2: job submission returned no id"
-# Two verified runs in the manifest = mid-formation with a durable prefix.
-wait_manifest "$id2" '"type":"run"' 2 "two durable runs"
+# A durable run in the manifest = formation under way.
+wait_manifest "$id2" '"type":"run"' 1 "a durable run"
 sigkill_server
+if grep -q '"type":"ingest_done"' "$DIR/data/.colsort/ckpt/$id2/manifest.wal"; then
+  fail "scenario 2: the kill landed after formation completed; nothing was left to restart"
+fi
 
 start_server
 wait_job "$id2" '"state": "done"' "completion after the mid-formation restart"
@@ -163,10 +168,10 @@ grep -q '^colsort_server_jobs_readopted_total 1$' "$DIR/metrics2.txt" \
   || fail "scenario 2: job was not re-adopted from the WAL"
 resumed=$(metric colsort_engine_runs_resumed_total "$DIR/metrics2.txt")
 formed=$(metric colsort_merge_runs_formed_total "$DIR/metrics2.txt")
-[ "$resumed" -ge 1 ] || fail "scenario 2: no runs adopted from the formation-phase manifest"
-[ "$resumed" -lt "$formed" ] \
-  || fail "scenario 2: $resumed adopted of $formed — the interrupted formation formed nothing new?"
-echo "scenario 2 (mid-formation kill): adopted $resumed of $formed runs, output byte-identical"
+[ "$resumed" -eq 0 ] \
+  || fail "scenario 2: $resumed runs adopted from a formation-phase manifest; formation must restart"
+[ "$formed" -ge 2 ] || fail "scenario 2: the restarted formation formed only $formed runs"
+echo "scenario 2 (mid-formation kill): formation restarted ($formed runs formed, none adopted), output byte-identical"
 
 # A SIGTERM drain of the final server must still exit clean.
 kill -TERM "$SERVER_PID"
@@ -175,4 +180,4 @@ if wait "$SERVER_PID"; then drain_ok=1; fi
 SERVER_PID=""
 [ "$drain_ok" -eq 1 ] || fail "final SIGTERM drain exited nonzero"
 
-echo "crash resume e2e passed ($RECORDS records; mid-merge and mid-formation kills both resumed byte-identical)"
+echo "crash resume e2e passed ($RECORDS records; mid-merge and mid-formation kills both finished byte-identical)"

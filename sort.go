@@ -31,8 +31,8 @@ import (
 //
 // Sort is unbounded in n: when the record count exceeds the selected
 // algorithm's problem-size bound (or a WithMaxMemory cap), the input is
-// transparently split into maximal bounded runs, each sorted on one
-// persistent cluster fabric, and the runs are combined by a loser-tree
+// transparently formed into maximal sorted runs by replacement selection
+// over one bounded run's memory, and the runs are combined by a loser-tree
 // k-way merge (WithMergeFanIn) streaming straight into dst with prefetch
 // on the run reads, write-behind on the output, and in-stream verification
 // — see Result.Merge and DESIGN.md §7. This path requires a non-nil dst
@@ -261,58 +261,6 @@ func storeMatchesPlan(st *pdm.Store, pl core.Plan) bool {
 		st.Layout == pl.Layout && (pl.Layout != pdm.GroupBlocked || st.G == pl.Group)
 }
 
-// fillStore streams the source's records into the store in global
-// column-major index order (the order Store.Fill assigns), normalizing each
-// record through the codec, folding the real records into the returned
-// checksum, and padding any remainder with all-0xFF records. The
-// hierarchical fixed-batch path fills its batch stores with it: a batch
-// redo re-runs from the filled store.
-func fillStore(ctx context.Context, st *pdm.Store, rd RecordReader, codec record.KeyCodec, n int64) (record.Checksum, error) {
-	var cnt sim.Counters
-	var want record.Checksum
-	var buf record.Slice
-	var idx int64
-	for j := 0; j < st.S; j++ {
-		for p := 0; p < st.P; p++ {
-			lo, hi := st.OwnedRows(p, j)
-			if lo == hi {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return want, err
-			}
-			if buf.Size == 0 || buf.Len() < hi-lo {
-				buf = record.Make(hi-lo, st.RecSize)
-			}
-			chunk := buf.Sub(0, hi-lo)
-			for i := 0; i < chunk.Len(); i++ {
-				rec := chunk.Record(i)
-				if idx < n {
-					if err := rd.ReadRecord(rec); err != nil {
-						return want, fmt.Errorf("colsort: input record %d: %w", idx, err)
-					}
-					codec.EncodeRecord(rec)
-					want.Add(rec)
-				} else {
-					for k := range rec {
-						rec[k] = 0xff
-					}
-				}
-				idx++
-			}
-			if err := st.WriteRows(&cnt, p, j, lo, chunk); err != nil {
-				return want, err
-			}
-		}
-	}
-	for p := 0; p < st.P; p++ {
-		if err := st.Flush(p); err != nil {
-			return want, err
-		}
-	}
-	return want, nil
-}
-
 // drainTo streams the result's real records into the sink, decoding each
 // chunk back to the caller's byte layout. Each owned row segment is
 // prefetched one step ahead, so an async-backed store overlaps the sink
@@ -344,8 +292,7 @@ func (r *Result) drainTo(ctx context.Context, dst Sink, faults *pdm.FaultStats) 
 // The pad tail is neither read nor prefetched (ErrStopScan), and each owned
 // segment is prefetched one step ahead by ScanSegments. With seals (one
 // per segment, from verify.Sealed) every segment read is checked against
-// its seal before emit sees it. Shared by the sink egress (drainTo) and the
-// hierarchical run spill (spillRun).
+// its seal before emit sees it. The sink egress (drainTo) drives it.
 func scanRealPrefix(ctx context.Context, st *pdm.Store, real int64, seals []uint32, faults *pdm.FaultStats, emit func(record.Slice) error) error {
 	var cnt sim.Counters
 	buf := record.Make(st.R, st.RecSize)

@@ -60,10 +60,10 @@ func TestWireEncodingGolden(t *testing.T) {
 			name: "merge stats replacement selection",
 			v: MergeStats{
 				Runs: 5, Levels: 1, FanIn: 16, RunRecords: 4096, BytesRead: 100, BytesWritten: 200,
-				Formation: "replacement-select", DownRuns: 2, MinRunRecords: 512, MaxRunRecords: 9000,
+				DownRuns: 2, MinRunRecords: 512, MaxRunRecords: 9000,
 			},
 			want: `{"runs":5,"levels":1,"fan_in":16,"run_records":4096,"bytes_read":100,"bytes_written":200,` +
-				`"formation":"replacement-select","down_runs":2,"min_run_records":512,"max_run_records":9000}`,
+				`"down_runs":2,"min_run_records":512,"max_run_records":9000}`,
 		},
 		{
 			name: "fault stats",
